@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 from .model import FieldConfig, RadioParams
@@ -165,8 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.rounds is not None:
             if args.rounds < 0:
                 raise ConfigError(f"--rounds must be >= 0, got {args.rounds}")
-            cfg.field = FieldConfig(**{**_field_kwargs(cfg.field),
-                                       "max_rounds": args.rounds})
+            cfg.field = replace(cfg.field, max_rounds=args.rounds)
         if args.output_dir is not None:
             cfg.output_dir = args.output_dir
         if args.format:
@@ -197,14 +196,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wsnsim: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
-
-
-def _field_kwargs(f: FieldConfig) -> dict:
-    return {"side_m": f.side_m, "node_count": f.node_count,
-            "bs_position": f.bs_position, "base_probability": f.base_probability,
-            "advanced_fraction": f.advanced_fraction,
-            "advanced_energy_factor": f.advanced_energy_factor,
-            "initial_energy": f.initial_energy, "max_rounds": f.max_rounds}
 
 
 def entrypoint() -> None:

@@ -16,6 +16,10 @@ NEAREST = "nearest"
 ENERGY_DISTANCE = "energy_distance"
 
 _DISTANCE_FLOOR = 1e-12  # co-located member/head; the ratio limit is +inf
+_NEAR_D2 = 1e-20         # d^2 below which the floor or co-location may decide
+_BLOCK = 32768           # member x head entries per block; temporaries stay in cache
+_EXACT_PAIRS = 4096      # smaller calls skip the screen: its fixed cost beats its saving
+_SCREEN_REL = 1e-9       # screen margin, far above d^2 vs hypot rounding (+ subnormals)
 
 
 @dataclass(frozen=True)
@@ -35,6 +39,7 @@ class JoinPolicy:
 class ClusterAssignment:
     members: dict[int, int]     # member node id -> head node id
     unassigned: list[int]       # direct-to-BS fallback (no heads this round)
+    distances: list[float]      # member-to-head distances, in `members` order
 
 
 def energy_distance_ratio(e_res: float, distance: float,
@@ -47,40 +52,67 @@ def energy_distance_ratio(e_res: float, distance: float,
 
 
 def assign_members(nodes: list[Node], heads: list[int], policy: JoinPolicy,
-                   distance_matrix: np.ndarray | None = None) -> ClusterAssignment:
+                   xy: np.ndarray) -> ClusterAssignment:
     """Assign every alive non-head node to a head per the join policy.
 
-    Ties go to the lower head id. `distance_matrix`, when given, is the full
-    node-by-node distance table (positions are static, so callers running many
-    rounds precompute it once).
+    Ties go to the lower head id. `nodes` is the whole field in id order
+    (nodes[i].id == i); column i of the (2, N) `xy` is node i's position.
+    Member x head distances are computed per call in blocks: O(N + block) memory.
     """
     head_ids = sorted(heads)
+    if xy.shape != (2, len(nodes)) or any(nodes[h].id != h for h in head_ids):
+        raise ValueError("assign_members needs nodes[i].id == i and xy of shape (2, N)")
     head_set = set(head_ids)
     member_ids = [n.id for n in nodes if n.alive and n.id not in head_set]
-    if not head_ids:
-        return ClusterAssignment(members={}, unassigned=member_ids)
-    if not member_ids:
-        return ClusterAssignment(members={}, unassigned=[])
+    if not (head_ids and member_ids):   # without heads all go direct to the BS
+        return ClusterAssignment({}, [] if head_ids else member_ids, [])
 
-    by_id = {n.id: n for n in nodes}
-    if distance_matrix is not None:
-        dist = distance_matrix[np.ix_(member_ids, head_ids)]
+    (hx, hy), (mx, my) = (np.take(xy, ids, axis=1) for ids in (head_ids, member_ids))
+    weights = None if policy.kind == NEAREST else \
+        np.array([nodes[h].residual_energy for h in head_ids]) ** policy.alpha
+    if len(member_ids) * len(head_ids) <= _EXACT_PAIRS:
+        choice = _exact_choice(mx, my, hx, hy, weights, policy.beta)
     else:
-        hx = np.array([by_id[h].x for h in head_ids])
-        hy = np.array([by_id[h].y for h in head_ids])
-        mx = np.array([by_id[m].x for m in member_ids])
-        my = np.array([by_id[m].y for m in member_ids])
-        dist = np.hypot(mx[:, None] - hx[None, :], my[:, None] - hy[None, :])
+        rows = max(1, _BLOCK // len(head_ids))
+        buf = np.empty((2, rows, len(head_ids)))   # shared: fresh blocks page-fault
+        with np.errstate(all="ignore"):   # inf/nan screen scores are re-decided
+            choice = np.concatenate([
+                _screen_block(mx[lo:lo + rows], my[lo:lo + rows], hx, hy,
+                              weights, policy.beta, buf)
+                for lo in range(0, len(member_ids), rows)])
+    dist = np.hypot(mx - hx[choice], my - hy[choice])   # no dearer than a table read-back
+    members = dict(zip(member_ids, [head_ids[c] for c in choice.tolist()]))
+    return ClusterAssignment(members, [], dist.tolist())
 
-    if policy.kind == NEAREST:
-        choice = np.argmin(dist, axis=1)   # first occurrence -> lowest head id
-    else:
-        energies = np.array([by_id[h].residual_energy for h in head_ids])
-        safe = np.maximum(dist, _DISTANCE_FLOOR)
-        ratio = energies[None, :] ** policy.alpha / safe ** policy.beta
-        # A member sitting on a head joins it outright (infinite attraction),
-        # regardless of that head's energy.
-        ratio[dist <= 0] = np.inf
-        choice = np.argmax(ratio, axis=1)
-    members = {m: head_ids[c] for m, c in zip(member_ids, choice)}
-    return ClusterAssignment(members=members, unassigned=[])
+
+def _screen_block(mx, my, hx, hy, weights, beta, buf) -> np.ndarray:
+    """Best head per row by a screen score (lower wins): d^2 or d^beta / E^alpha.
+    Rows with a runner-up within _SCREEN_REL of the best (d^2 and np.hypot can
+    order near-equal distances apart) or a head inside the floor are re-decided."""
+    d2, dy2 = buf[:, :len(mx)]
+    np.square(np.subtract(mx[:, None], hx, out=d2), out=d2)
+    d2 += np.square(np.subtract(my[:, None], hy, out=dy2), out=dy2)
+    near = weights is not None and d2.min(axis=1) <= _NEAR_D2
+    if weights is not None:
+        if beta != 2.0:
+            d2 **= beta / 2.0
+        d2 /= weights
+    choice = d2.argmin(axis=1)
+    best = np.take_along_axis(d2, choice[:, None], 1)[:, 0]
+    np.put_along_axis(d2, choice[:, None], np.inf, 1)
+    margin = best * (1.0 + _SCREEN_REL) + np.finfo(float).tiny
+    redo = np.flatnonzero(near | ~(d2.min(axis=1) > margin))   # nan rows too
+    if redo.size:
+        choice[redo] = _exact_choice(mx[redo], my[redo], hx, hy, weights, beta)
+    return choice
+
+
+def _exact_choice(mx, my, hx, hy, weights, beta) -> np.ndarray:
+    """The join rule on full np.hypot distances; first occurrence wins ties."""
+    dist = np.hypot(mx[:, None] - hx, my[:, None] - hy)
+    if weights is None:
+        return np.argmin(dist, axis=1)
+    ratio = weights / np.maximum(dist, _DISTANCE_FLOOR) ** beta
+    # A member sitting on a head joins it outright, whatever that head's energy.
+    ratio[dist <= 0] = np.inf
+    return np.argmax(ratio, axis=1)

@@ -42,6 +42,8 @@ class RadioParams:
             raise ValueError(f"packet_bits must be strictly positive, got {self.packet_bits!r}")
         if not self.fs_amp > self.mp_amp:
             raise ValueError("fs_amp must exceed mp_amp for a crossover distance > 1 m")
+        # Not a field: repr, equality and hashing see only the parameters.
+        object.__setattr__(self, "_crossover", math.sqrt(self.fs_amp / self.mp_amp))
 
 
 @dataclass(frozen=True)
@@ -65,9 +67,9 @@ class FieldConfig:
         if not 0 < self.base_probability <= 1:
             raise ValueError(
                 f"base_probability must be in (0, 1], got {self.base_probability!r}")
-        if not 0 < self.advanced_fraction < 1:
+        if not 0 <= self.advanced_fraction <= 1:
             raise ValueError(
-                f"advanced_fraction must be in (0, 1), got {self.advanced_fraction!r}")
+                f"advanced_fraction must be in [0, 1], got {self.advanced_fraction!r}")
         if self.advanced_energy_factor < 0:
             raise ValueError(
                 f"advanced_energy_factor must be >= 0, got {self.advanced_energy_factor!r}")
@@ -102,10 +104,6 @@ class Node:
         if self.residual_energy < 0:
             self.residual_energy = self.initial_energy
 
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
     def distance_to(self, x: float, y: float) -> float:
         return math.hypot(self.x - x, self.y - y)
 
@@ -121,7 +119,7 @@ class Node:
 
 def distance_threshold(params: RadioParams) -> float:
     """Crossover distance between the free-space and multipath branches."""
-    return math.sqrt(params.fs_amp / params.mp_amp)
+    return params._crossover
 
 
 def tx_energy(params: RadioParams, bits: int, distance: float) -> float:
@@ -131,7 +129,7 @@ def tx_energy(params: RadioParams, bits: int, distance: float) -> float:
     _require_finite("distance", distance)
     if distance < 0:
         raise ValueError(f"distance must be >= 0, got {distance!r}")
-    if distance <= distance_threshold(params):
+    if distance <= params._crossover:
         return bits * params.elec_energy_per_bit + bits * params.fs_amp * distance ** 2
     return bits * params.elec_energy_per_bit + bits * params.mp_amp * distance ** 4
 

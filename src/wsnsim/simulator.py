@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,19 +95,20 @@ class SimulationState:
     round: int
     kappa_max_raw: float
     p_effective: float
+    xy: np.ndarray                # (2, N) node coordinates, column = node id
+    bs_dist: list[float]          # node-to-BS distances (np.hypot), uplink cost
+    bs_dist_mean: list[float]     # the same by math.hypot, for the learning mean
     cumulative_consumed: float = 0.0
-    dist_matrix: np.ndarray | None = None   # node-to-node distances, static
-    bs_dist: np.ndarray | None = None       # node-to-BS distances, static
-    initial_total: float = dc_field(default=0.0)
+    initial_total: float = 0.0
 
 
-def _geometry_caches(nodes: list[Node],
-                     bs: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.array([n.x for n in nodes])
-    ys = np.array([n.y for n in nodes])
-    dist = np.hypot(xs[:, None] - xs[None, :], ys[:, None] - ys[None, :])
-    bs_dist = np.hypot(xs - bs[0], ys - bs[1])
-    return dist, bs_dist
+def _geometry_caches(nodes: list[Node], bs: tuple[float, float]
+                     ) -> tuple[np.ndarray, list[float], list[float]]:
+    """O(N) static geometry: coordinates, and BS distances by np.hypot and by
+    representative_bs_distance's math.hypot (they differ in some last bits)."""
+    xy = np.array([[n.x for n in nodes], [n.y for n in nodes]], dtype=float)
+    bs_dist = np.hypot(xy[0] - bs[0], xy[1] - bs[1]).tolist()
+    return xy, bs_dist, [n.distance_to(*bs) for n in nodes]
 
 
 def _election_policy(algo: AlgorithmSpec, field: FieldConfig,
@@ -124,27 +125,29 @@ def _election_policy(algo: AlgorithmSpec, field: FieldConfig,
 
 
 def learning_update(state: SimulationState, radio: RadioParams,
-                    field: FieldConfig, bs: tuple[float, float]) -> float:
+                    field: FieldConfig) -> float:
     """Re-derive the cluster budget from the surviving population.
 
     The closed form (`max_clusters`) is re-evaluated with the alive count in
     place of the total node count and the mean alive-node-to-BS distance as
     the representative uplink distance. Before any death these are exactly
     the a-priori inputs, so the budget is a fixed point until the first death.
+    The mean adds set-up distances in id order, as representative_bs_distance does.
     """
-    alive = sum(1 for n in state.nodes if n.alive)
-    d_bs = representative_bs_distance(state.nodes, bs)
+    alive_dist = [d for n, d in zip(state.nodes, state.bs_dist_mean) if n.alive]
+    if not alive_dist:
+        raise ValueError("no alive nodes")
+    d_bs = sum(alive_dist) / len(alive_dist)
     if d_bs <= 0:
         return state.kappa_max_raw
     inputs = AnalysisInputs(radio=radio,
-                            field=replace(field, node_count=alive),
+                            field=replace(field, node_count=len(alive_dist)),
                             bs_distance=d_bs)
     return max_clusters(inputs).raw
 
 
 def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
-              field: FieldConfig, bs: tuple[float, float],
-              rng: random.Random) -> RoundRecord:
+              field: FieldConfig, rng: random.Random) -> RoundRecord:
     """Execute one full round and advance the state.
 
     Election and membership are decided first; the steady state then charges
@@ -159,30 +162,24 @@ def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
     tier_probs = policy.tier_probabilities(p_adp)
     refresh_epoch(nodes, tier_probs, state.round)
     outcome = elect_cluster_heads(nodes, policy, state.round, p_adp, rng)
-    assignment = assign_members(nodes, outcome.heads, algo.join, state.dist_matrix)
+    assignment = assign_members(nodes, outcome.heads, algo.join, state.xy)
 
     l = radio.packet_bits
     kappa_used = state.kappa_max_raw
     p_used = state.p_effective
     consumed = 0.0
     member_counts = dict.fromkeys(outcome.heads, 0)
-    for mid, hid in assignment.members.items():
-        d = float(state.dist_matrix[mid, hid]) if state.dist_matrix is not None \
-            else nodes[mid].distance_to(nodes[hid].x, nodes[hid].y)
+    for (mid, hid), d in zip(assignment.members.items(), assignment.distances):
         consumed += nodes[mid].drain(tx_energy(radio, l, d))
         member_counts[hid] += 1
     for hid in outcome.heads:
         mc = member_counts[hid]
-        d = float(state.bs_dist[hid]) if state.bs_dist is not None \
-            else nodes[hid].distance_to(*bs)
         cost = (mc * rx_energy(radio, l)
                 + aggregation_energy(radio, l, mc + 1)
-                + tx_energy(radio, l, d))
+                + tx_energy(radio, l, state.bs_dist[hid]))
         consumed += nodes[hid].drain(cost)
     for uid in assignment.unassigned:
-        d = float(state.bs_dist[uid]) if state.bs_dist is not None \
-            else nodes[uid].distance_to(*bs)
-        consumed += nodes[uid].drain(tx_energy(radio, l, d))
+        consumed += nodes[uid].drain(tx_energy(radio, l, state.bs_dist[uid]))
 
     state.cumulative_consumed += consumed
     alive = dead_normal = dead_advanced = 0
@@ -205,7 +202,7 @@ def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
     if alive > 0:
         # The budget evolves first so the adapted probability sees it.
         if algo.learning_kappa:
-            state.kappa_max_raw = learning_update(state, radio, field, bs)
+            state.kappa_max_raw = learning_update(state, radio, field)
         if algo.adaptive_p:
             state.p_effective = adaptive_probability(state.kappa_max_raw, alive)
     state.round += 1
@@ -224,7 +221,7 @@ def run_simulation(field: FieldConfig, radio: RadioParams,
         algo = algorithm(algo)
     rng = random.Random(seed)
     nodes = deploy_field(field, rng)
-    dist_matrix, bs_dist = _geometry_caches(nodes, field.bs_position)
+    xy, bs_dist, bs_dist_mean = _geometry_caches(nodes, field.bs_position)
     d_bs0 = representative_bs_distance(nodes, field.bs_position)
     if d_bs0 <= 0:
         raise ValueError("all nodes co-located with the base station; "
@@ -232,7 +229,7 @@ def run_simulation(field: FieldConfig, radio: RadioParams,
     budget = max_clusters(AnalysisInputs(radio=radio, field=field, bs_distance=d_bs0))
     state = SimulationState(nodes=nodes, round=0, kappa_max_raw=budget.raw,
                             p_effective=field.base_probability,
-                            dist_matrix=dist_matrix, bs_dist=bs_dist,
+                            xy=xy, bs_dist=bs_dist, bs_dist_mean=bs_dist_mean,
                             initial_total=sum(n.initial_energy for n in nodes))
 
     series: list[RoundRecord] = []
@@ -240,7 +237,7 @@ def run_simulation(field: FieldConfig, radio: RadioParams,
     for _ in range(field.max_rounds):
         if not any(n.alive for n in nodes):
             break
-        series.append(run_round(state, algo, radio, field, field.bs_position, rng))
+        series.append(run_round(state, algo, radio, field, rng))
         consumed_series.append(state.cumulative_consumed)
 
     first, half, last = reporting.stability_metrics(series, field.node_count)

@@ -11,6 +11,7 @@ import statistics
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from wsnsim import (AnalysisInputs, ElectionPolicy, FieldConfig, JoinPolicy,
@@ -210,10 +211,11 @@ def test_criterion_6_membership_equivalence():
                       tier="normal", initial_energy=0.5)
                  for i in range(n)]
         heads = rng.sample(range(n), rng.randrange(1, min(6, n)))
+        xy = np.array([[nd.x for nd in nodes], [nd.y for nd in nodes]])
         for alpha, beta in ((1.0, 1.0), (1.0, 2.0)):
             by_ratio = assign_members(
-                nodes, heads, JoinPolicy(ENERGY_DISTANCE, alpha, beta))
-            by_dist = assign_members(nodes, heads, JoinPolicy(NEAREST))
+                nodes, heads, JoinPolicy(ENERGY_DISTANCE, alpha, beta), xy)
+            by_dist = assign_members(nodes, heads, JoinPolicy(NEAREST), xy)
             if by_ratio != by_dist:
                 mismatches += 1
     report(6, mismatches == 0,

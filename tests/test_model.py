@@ -114,15 +114,23 @@ class TestFieldConfigValidation:
     @pytest.mark.parametrize("kw", [
         {"base_probability": 0.0},
         {"base_probability": 1.5},
-        {"advanced_fraction": 0.0},
-        {"advanced_fraction": 1.0},
+        {"advanced_fraction": -0.1},
+        {"advanced_fraction": 1.1},
         {"advanced_energy_factor": -0.5},
         {"bs_position": (150.0, 50.0)},
         {"node_count": 0},
+        {"advanced_fraction": float("nan")},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             FieldConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        {"advanced_fraction": 0.0},     # homogeneous field, classic LEACH
+        {"advanced_fraction": 1.0},
+    ])
+    def test_accepts_boundary_values(self, kw):
+        assert FieldConfig(**kw).advanced_fraction == kw["advanced_fraction"]
 
 
 class TestDeployField:

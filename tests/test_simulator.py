@@ -1,5 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +31,10 @@ def small_field(**kw):
 
 
 def make_state(nodes, bs, kappa=10.0, p=0.1):
-    dist, bs_dist = _geometry_caches(nodes, bs)
+    xy, bs_dist, bs_dist_mean = _geometry_caches(nodes, bs)
     return SimulationState(nodes=nodes, round=0, kappa_max_raw=kappa,
-                           p_effective=p, dist_matrix=dist, bs_dist=bs_dist,
+                           p_effective=p, xy=xy, bs_dist=bs_dist,
+                           bs_dist_mean=bs_dist_mean,
                            initial_total=sum(n.initial_energy for n in nodes))
 
 
@@ -63,8 +69,7 @@ class TestRunRound:
         field = FieldConfig(node_count=1, base_probability=1.0, max_rounds=10)
         nodes = [Node(id=0, x=30.0, y=50.0, tier="normal", initial_energy=0.5)]
         state = make_state(nodes, field.bs_position, kappa=1.0, p=1.0)
-        rec = run_round(state, algorithm("leach"), radio, field,
-                        field.bs_position, random.Random(1))
+        rec = run_round(state, algorithm("leach"), radio, field, random.Random(1))
         l = radio.packet_bits
         expected = (l * radio.aggregation_energy_per_bit
                     + l * radio.elec_energy_per_bit + l * radio.fs_amp * 20.0 ** 2)
@@ -79,8 +84,7 @@ class TestRunRound:
             n.eligible = False  # mid-epoch, everyone has served
         state = make_state(nodes, field.bs_position)
         state.round = 3  # not an epoch boundary, so no refresh
-        rec = run_round(state, algorithm("leach"), radio, field,
-                        field.bs_position, random.Random(1))
+        rec = run_round(state, algorithm("leach"), radio, field, random.Random(1))
         assert rec.head_count == 0
         l = radio.packet_bits
         expected = sum(l * radio.elec_energy_per_bit
@@ -97,8 +101,7 @@ class TestRunRound:
         for _ in range(50):
             before = sum(n.residual_energy for n in nodes)
             consumed_before = state.cumulative_consumed
-            run_round(state, algorithm("leach"), radio, field,
-                      field.bs_position, rng)
+            run_round(state, algorithm("leach"), radio, field, rng)
             after = sum(n.residual_energy for n in nodes)
             # summation-order noise only; well inside 1e-9 of total energy
             assert state.cumulative_consumed - consumed_before == \
@@ -179,8 +182,7 @@ class TestRunSimulation:
         for _ in range(field.max_rounds):
             if not any(n.alive for n in nodes):
                 break
-            run_round(state, algorithm("sep-kp"), radio, field,
-                      field.bs_position, rng)
+            run_round(state, algorithm("sep-kp"), radio, field, rng)
             for n in nodes:
                 if not n.alive and n.id not in death_round:
                     death_round[n.id] = state.round - 1
@@ -188,6 +190,18 @@ class TestRunSimulation:
         for nid, died in death_round.items():
             last = nodes[nid].last_head_round
             assert last is None or last <= died
+
+    @pytest.mark.parametrize("sep_name, leach_name", [("sep", "leach"),
+                                                      ("sep-kp", "leach-kp")])
+    def test_sep_reduces_to_leach_on_a_homogeneous_field(self, sep_name,
+                                                          leach_name):
+        # With no advanced nodes both SEP tiers collapse to LEACH's p.
+        field = FieldConfig(advanced_fraction=0.0)
+        for seed in (0, 1):
+            sep = run_simulation(field, RadioParams(), sep_name, seed)
+            leach = run_simulation(field, RadioParams(), leach_name, seed)
+            assert sep.last_death_round is not None
+            assert round_csv_text(sep) == round_csv_text(leach)
 
     def test_metadata_identifies_rng_and_config(self):
         field = small_field(max_rounds=5)
@@ -220,8 +234,31 @@ class TestLearningUpdate:
         d0 = representative_bs_distance(nodes, field.bs_position)
         initial = max_clusters(AnalysisInputs(radio, field, d0)).raw
         state = make_state(nodes, field.bs_position, kappa=initial)
-        updated = learning_update(state, radio, field, field.bs_position)
+        updated = learning_update(state, radio, field)
         assert updated == initial
+
+    def test_matches_representative_bs_distance_after_deaths(self):
+        # The set-up distances give exactly the budget that recomputing
+        # every alive node's math.hypot distance each round gave. The
+        # survivors are the nodes whose np.hypot distance differs from it.
+        from dataclasses import replace
+        from wsnsim.model import deploy_field
+        from wsnsim.analysis import (AnalysisInputs, max_clusters,
+                                     representative_bs_distance)
+        field = FieldConfig(node_count=60, max_rounds=50)
+        radio = RadioParams()
+        bx, by = field.bs_position
+        nodes = deploy_field(field, random.Random(4))
+        state = make_state(nodes, field.bs_position)
+        for n in nodes:
+            if math.hypot(n.x - bx, n.y - by) == float(np.hypot(n.x - bx, n.y - by)):
+                n.drain(1.0)
+        alive = sum(n.alive for n in nodes)
+        assert alive >= 1
+        d_bs = representative_bs_distance(nodes, field.bs_position)
+        expected = max_clusters(AnalysisInputs(
+            radio, replace(field, node_count=alive), d_bs)).raw
+        assert learning_update(state, radio, field) == expected
 
     def test_sqrt_scaling_when_half_die_on_a_ring(self):
         field = FieldConfig(node_count=40, max_rounds=50)
@@ -229,10 +266,10 @@ class TestLearningUpdate:
         bs = field.bs_position
         nodes = self._ring_nodes(40, 30.0, bs)
         state = make_state(nodes, bs)
-        full = learning_update(state, radio, field, bs)
+        full = learning_update(state, radio, field)
         for n in nodes[::2]:
             n.drain(1.0)
-        halved = learning_update(state, radio, field, bs)
+        halved = learning_update(state, radio, field)
         assert halved == pytest.approx(full / math.sqrt(2), rel=1e-12)
 
     def test_learning_run_shrinks_budget_as_nodes_die(self):
@@ -249,4 +286,26 @@ class TestLearningUpdate:
         for n in nodes:
             n.drain(1.0)
         with pytest.raises(ValueError):
-            learning_update(state, RadioParams(), field, field.bs_position)
+            learning_update(state, RadioParams(), field)
+
+
+class TestMemory:
+    def test_ten_thousand_nodes_stay_under_300_mb(self):
+        # Member x head distances are computed per round in blocks, so peak
+        # memory is O(N + block); an N x N float64 table alone is 800 MB here.
+        script = textwrap.dedent("""
+            import resource, sys
+            from wsnsim import FieldConfig, RadioParams, run_simulation
+            field = FieldConfig(node_count=10_000, max_rounds=3)
+            for name in ("leach", "sep-kef-1-2-p-learning"):
+                assert run_simulation(field, RadioParams(), name, 0).rounds_executed == 3
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print(peak / 2**20 if sys.platform == "darwin" else peak / 2**10)
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        peak_mb = float(out.stdout.strip())
+        assert peak_mb < 300, f"peak RSS {peak_mb:.0f} MB at N = 10 000"
