@@ -60,6 +60,11 @@ class FieldConfig:
     max_rounds: int = 3000
 
     def __post_init__(self) -> None:
+        for name in ("side_m", "base_probability", "advanced_fraction",
+                     "advanced_energy_factor", "initial_energy"):
+            _require_finite(name, getattr(self, name))
+        for axis, value in zip("xy", self.bs_position):
+            _require_finite(f"bs_position {axis}", value)
         if self.side_m <= 0:
             raise ValueError(f"side_m must be positive, got {self.side_m!r}")
         if self.node_count <= 0:
@@ -129,6 +134,12 @@ def tx_energy(params: RadioParams, bits: int, distance: float) -> float:
     _require_finite("distance", distance)
     if distance < 0:
         raise ValueError(f"distance must be >= 0, got {distance!r}")
+    return _tx_energy(params, bits, distance)
+
+
+def _tx_energy(params: RadioParams, bits: int, distance: float) -> float:
+    """tx_energy without argument checks, for the round engine: its bits are
+    RadioParams.packet_bits (> 0) and its distances np.hypot of finite points."""
     if distance <= params._crossover:
         return bits * params.elec_energy_per_bit + bits * params.fs_amp * distance ** 2
     return bits * params.elec_energy_per_bit + bits * params.mp_amp * distance ** 4

@@ -14,8 +14,8 @@ from .analysis import (AnalysisInputs, adaptive_probability, max_clusters,
 from .election import (ENERGY_WEIGHTED, PLAIN, ElectionPolicy,
                        elect_cluster_heads, refresh_epoch)
 from .membership import ENERGY_DISTANCE, NEAREST, JoinPolicy, assign_members
-from .model import (ADVANCED, FieldConfig, Node, RadioParams, aggregation_energy,
-                    deploy_field, round_half_up, rx_energy, tx_energy)
+from .model import (ADVANCED, FieldConfig, Node, RadioParams, _tx_energy,
+                    aggregation_energy, deploy_field, round_half_up, rx_energy)
 
 RNG_ALGORITHM = "python-random-mt19937"
 
@@ -170,16 +170,16 @@ def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
     consumed = 0.0
     member_counts = dict.fromkeys(outcome.heads, 0)
     for (mid, hid), d in zip(assignment.members.items(), assignment.distances):
-        consumed += nodes[mid].drain(tx_energy(radio, l, d))
+        consumed += nodes[mid].drain(_tx_energy(radio, l, d))
         member_counts[hid] += 1
     for hid in outcome.heads:
         mc = member_counts[hid]
         cost = (mc * rx_energy(radio, l)
                 + aggregation_energy(radio, l, mc + 1)
-                + tx_energy(radio, l, state.bs_dist[hid]))
+                + _tx_energy(radio, l, state.bs_dist[hid]))
         consumed += nodes[hid].drain(cost)
     for uid in assignment.unassigned:
-        consumed += nodes[uid].drain(tx_energy(radio, l, state.bs_dist[uid]))
+        consumed += nodes[uid].drain(_tx_energy(radio, l, state.bs_dist[uid]))
 
     state.cumulative_consumed += consumed
     alive = dead_normal = dead_advanced = 0

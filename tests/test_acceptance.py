@@ -2,7 +2,8 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 Criteria 2, 4, 5, 7 and 9 share one 30-seed x 18-algorithm batch at the
-default parameter set; the batch is executed once per session.
+default parameter set; the batch is executed once per session. Those five
+are marked `slow`: `pytest -m "not slow"` skips the batch.
 """
 import json
 import math
@@ -117,6 +118,7 @@ def test_criterion_1_analytical_identities():
                   f"{elapsed:.2f}s (<5s)")
 
 
+@pytest.mark.slow
 def test_criterion_2_energy_conservation(batch):
     subset_seconds = sum(sec for (name, seed), sec in batch.run_seconds.items()
                          if seed < CONSERVATION_SEEDS)
@@ -143,6 +145,7 @@ def test_criterion_3_determinism(tmp_path):
            f"CSV identical: {csv_same}, JSON identical: {json_same}")
 
 
+@pytest.mark.slow
 def test_criterion_4_lifetime_ordering(batch):
     pairs = [
         ("leach", "leach-kp"), ("leach-kp", "leach-kep"),
@@ -195,6 +198,7 @@ def test_criterion_4_lifetime_ordering(batch):
     report(4, not failures, "; ".join(failures) or "all orderings hold")
 
 
+@pytest.mark.slow
 def test_criterion_5_sep_outlives_leach(batch):
     leach = statistics.mean(batch.first_death["leach"])
     sep = statistics.mean(batch.first_death["sep"])
@@ -222,6 +226,7 @@ def test_criterion_6_membership_equivalence():
            f"{mismatches} mismatches over 1000 equal-energy instances")
 
 
+@pytest.mark.slow
 def test_criterion_7_cap_enforcement(batch):
     ok = not batch.cap_violations
     detail = f"{len(batch.cap_violations)} over-cap rounds across -k variants"
@@ -249,6 +254,7 @@ def test_criterion_8_epoch_final_slot_forces_election():
            "at the epoch's final slot")
 
 
+@pytest.mark.slow
 def test_criterion_9_monotone_series(batch):
     ok = not batch.monotone_violations
     detail = f"{len(batch.monotone_violations)} non-monotone runs"

@@ -110,6 +110,17 @@ class TestMain:
         assert rc == EXIT_CONFIG
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, name", [("initial_energy = nan", "initial_energy"),
+                                            ("side = inf", "side_m"),
+                                            ("bs_x = nan", "bs_position x")])
+    def test_non_finite_config_value_is_config_error(self, capsys, tmp_path, line, name):
+        cfg = write_cfg(tmp_path, f"{line}\nalgorithms = leach\n")
+        rc = main(["--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"{name} must be finite" in err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_rounds_rejected(self, tmp_path):
         rc = main(["--algorithm", "leach", "--rounds", "-1",
                    "--output-dir", str(tmp_path)])

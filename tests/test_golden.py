@@ -8,11 +8,15 @@ output re-baselines them; print the current digests with
 """
 import hashlib
 
+import pytest
+
 from wsnsim import FieldConfig, RadioParams, algorithm_names, run_simulation
 from wsnsim.reporting import round_csv_text, summary_json_text
 
+pytestmark = pytest.mark.slow
+
 SEEDS = (0, 1, 2)
-# N x H exceeds the membership block size on most rounds of this field.
+# Members x candidate heads exceeds the membership block size on most rounds.
 MULTI_BLOCK_FIELD = FieldConfig(node_count=2000, max_rounds=20)
 
 

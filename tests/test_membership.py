@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from wsnsim import (ClusterAssignment, JoinPolicy, Node, assign_members,
-                    energy_distance_ratio)
+from wsnsim import (ClusterAssignment, FieldConfig, JoinPolicy, Node,
+                    assign_members, deploy_field, energy_distance_ratio)
 from wsnsim import membership
 from wsnsim.membership import ENERGY_DISTANCE, NEAREST
 
@@ -194,6 +194,11 @@ ORACLE_POLICIES = [JoinPolicy(NEAREST)] + [
     for a, b in ((1.0, 1.0), (1.0, 2.0), (1.0, 3.0), (2.0, 3.0))]
 
 
+def _nudge(rng, v):
+    """v, or one ulp either side of it."""
+    return rng.choice((v, v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)))
+
+
 def oracle_instance(rng, kind, n_max=40):
     """Nodes and heads for one oracle case of the given kind."""
     n = rng.randrange(2, n_max + 1)
@@ -210,6 +215,15 @@ def oracle_instance(rng, kind, n_max=40):
     else:
         pos = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)]
         energy = [rng.uniform(0.01, 1.0) for _ in range(n)]
+    if kind == "edges":         # on the cell edges of a [0, 100] head box, or one ulp off
+        lattice = 100.0 / rng.choice((12, 60))
+        pos = [tuple(_nudge(rng, rng.randrange(int(100 / lattice) + 1) * lattice)
+                     for _ in "xy") for _ in range(n)]
+    if kind == "energy-span":   # head energies over three decades
+        energy = [10.0 ** rng.uniform(-3.0, 0.0) for _ in range(n)]
+    if kind == "strong-head":   # weak heads, and one far stronger that wins from afar
+        energy = [10.0 ** rng.uniform(-3.0, -1.0) for _ in range(n)]
+        energy[rng.randrange(n)] = 1.0
     if kind == "colocated":     # on another node, or inside the distance floor
         for i in range(1, n):
             if rng.random() < 0.4:
@@ -223,6 +237,15 @@ def oracle_instance(rng, kind, n_max=40):
         heads = list(range(1, n))
     else:
         heads = rng.sample(range(n), rng.randrange(1, n))
+    if kind == "edges" and len(heads) >= 2:   # the head box is exactly [0, 100]^2
+        (nodes[heads[0]].x, nodes[heads[0]].y), (nodes[heads[1]].x, nodes[heads[1]].y) = \
+            (0.0, 0.0), (100.0, 100.0)
+    if kind == "corner":        # heads packed in one corner: most guards fail
+        for h in heads:
+            nodes[h].x, nodes[h].y = rng.uniform(0.0, 8.0), rng.uniform(0.0, 8.0)
+    if kind == "far-head":      # one head far off stretches the grid over empty cells
+        far = nodes[rng.choice(heads)]
+        far.x, far.y = rng.choice((-1.0, 1.0)) * rng.uniform(1e3, 1e5), rng.uniform(0.0, 100.0)
     if kind == "dead":
         for nd in nodes:
             if nd.id not in heads and rng.random() < 0.4:
@@ -246,17 +269,34 @@ class TestAssignMembersContract:
 
 
 class TestAssignMembersOracle:
-    """The blocked d^2 screen must decide exactly as the full np.hypot table."""
+    """Both screens, grid and all-heads, must decide exactly as the full np.hypot table."""
 
     @pytest.mark.parametrize("kind", ["random", "lattice", "ring", "colocated",
-                                      "zero-energy", "dead"])
+                                      "zero-energy", "dead", "corner", "edges",
+                                      "energy-span", "strong-head", "far-head"])
     @pytest.mark.parametrize("block", [None, 7])
     def test_matches_full_table(self, kind, block, monkeypatch):
-        # Every size goes through the d^2 screen, not the small-call path.
+        # Every size goes through the grid screen, not the small-call path
+        # or the all-heads screen of calls with few heads.
         monkeypatch.setattr(membership, "_EXACT_PAIRS", 0)
-        if block is not None:   # many blocks per call, split mid-row-set
+        monkeypatch.setattr(membership, "_GRID_HEADS", 0)
+        if block is not None:   # many blocks per call, and a grid of many cells
             monkeypatch.setattr(membership, "_BLOCK", block)
-        rng = random.Random(f"{kind}-{block}")
+            monkeypatch.setattr(membership, "_HEADS_PER_CELL", 0.25)
+        self.check(random.Random(f"{kind}-{block}"), kind)
+
+    @pytest.mark.parametrize("kind", ["random", "lattice", "ring", "colocated",
+                                      "zero-energy", "strong-head"])
+    def test_all_heads_screen_matches_full_table(self, kind, monkeypatch):
+        # Fewer heads than _GRID_HEADS: every row is screened on all heads,
+        # in blocks of a few rows.
+        assert 40 < membership._GRID_HEADS   # oracle_instance has at most 40 nodes
+        monkeypatch.setattr(membership, "_EXACT_PAIRS", 0)
+        monkeypatch.setattr(membership, "_BLOCK", 7)
+        self.check(random.Random(f"all-heads-{kind}"), kind)
+
+    @staticmethod
+    def check(rng, kind):
         for _ in range(150):
             nodes, heads = oracle_instance(rng, kind)
             xy = coords(nodes)
@@ -266,9 +306,9 @@ class TestAssignMembersOracle:
 
     def test_multi_block_instance(self):
         rng = random.Random(25)
-        nodes, _ = random_instance(rng, 700, 1)
-        heads = rng.sample(range(700), 60)   # 640 x 60 pairs > one block
-        assert 640 * 60 > membership._BLOCK
+        nodes, _ = random_instance(rng, 5500, 1)
+        heads = rng.sample(range(5500), 500)   # 5 000 x 500, many blocks of rows
+        assert 5000 * 9 * membership._HEADS_PER_CELL > membership._BLOCK
         xy = coords(nodes)
         for policy in ORACLE_POLICIES:
             assert assign_members(nodes, heads, policy, xy) == \
@@ -287,3 +327,48 @@ class TestAssignMembersOracle:
             out = assign_members(nodes, [0, 1], policy, coords(nodes))
             assert out.members == {2: 0}
             assert out.distances == [dist[0]]
+
+
+class TestGridPruning:
+    """The 3x3 block settles almost every row; few are screened again on all heads."""
+
+    @staticmethod
+    def count_rows(nodes, heads, policy, monkeypatch):
+        """Rows screened on all heads after the grid's first pass, and rows
+        decided by _exact_choice."""
+        screened, exact = [], []
+        screen, exact_choice = membership._screen, membership._exact_choice
+
+        def counting(fn, rows):
+            return lambda m, *args: (rows.append(m.shape[1]), fn(m, *args))[1]
+
+        monkeypatch.setattr(membership, "_screen", counting(screen, screened))
+        monkeypatch.setattr(membership, "_exact_choice", counting(exact_choice, exact))
+        out = assign_members(nodes, heads, policy, coords(nodes))
+        assert out == reference_assign(nodes, heads, policy)
+        return sum(screened) - len(out.members), sum(exact)
+
+    @pytest.mark.parametrize("policy", [JoinPolicy(NEAREST),
+                                        JoinPolicy(ENERGY_DISTANCE, alpha=1.0, beta=1.0),
+                                        JoinPolicy(ENERGY_DISTANCE, alpha=1.0, beta=2.0)])
+    def test_few_rows_are_redecided(self, policy, monkeypatch):
+        # The simulator's own deployment: uniform positions, 0.5 J normal and
+        # 1.0 J advanced heads, as on a large field's early rounds.
+        nodes = deploy_field(FieldConfig(node_count=5000), random.Random(26))
+        heads = random.Random(27).sample(range(5000), 500)
+        screened, exact = self.count_rows(nodes, heads, policy, monkeypatch)
+        assert screened + exact < 0.02 * 4500
+
+    def test_guard_failures_are_screened_not_tabled(self, monkeypatch):
+        # One head ten times stronger than the rest, as head energies spread
+        # late in a lifetime run: its weight bounds every guard, and most rows
+        # fail it. They are screened on all heads; the full np.hypot rule
+        # decides only near ties.
+        nodes = deploy_field(FieldConfig(node_count=5000), random.Random(26))
+        heads = random.Random(27).sample(range(5000), 500)
+        for h in heads:
+            nodes[h].residual_energy = 0.05
+        nodes[heads[0]].residual_energy = 0.5
+        policy = JoinPolicy(ENERGY_DISTANCE, alpha=1.0, beta=1.0)
+        screened, exact = self.count_rows(nodes, heads, policy, monkeypatch)
+        assert screened > 0.5 * 4500 and exact < 0.02 * 4500, (screened, exact)

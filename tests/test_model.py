@@ -125,6 +125,22 @@ class TestFieldConfigValidation:
         with pytest.raises(ValueError):
             FieldConfig(**kw)
 
+    @pytest.mark.parametrize("name, kw", [
+        ("side_m", {"side_m": math.inf}),
+        ("side_m", {"side_m": math.nan}),
+        ("base_probability", {"base_probability": math.nan}),
+        ("advanced_fraction", {"advanced_fraction": math.inf}),
+        ("advanced_energy_factor", {"advanced_energy_factor": math.nan}),
+        ("advanced_energy_factor", {"advanced_energy_factor": math.inf}),
+        ("initial_energy", {"initial_energy": math.nan}),
+        ("initial_energy", {"initial_energy": math.inf}),
+        ("bs_position x", {"bs_position": (math.nan, 50.0)}),
+        ("bs_position y", {"bs_position": (50.0, -math.inf)}),
+    ])
+    def test_rejects_non_finite_values_by_name(self, name, kw):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            FieldConfig(**kw)
+
     @pytest.mark.parametrize("kw", [
         {"advanced_fraction": 0.0},     # homogeneous field, classic LEACH
         {"advanced_fraction": 1.0},
