@@ -5,7 +5,13 @@ the round engine must leave these digests unchanged. A deliberate change of
 output re-baselines them; print the current digests with
 
     PYTHONPATH=src python tests/test_golden.py
+
+The CSV prints 9 significant digits, so it cannot see last-bit drift until a
+death, a cap tie or a join flips. The full-precision digests lock every bit:
+the repr of every float of a run (its initial energy total, each round's
+residual total, p and kappa, and the cumulative consumed energy).
 """
+import functools
 import hashlib
 
 import pytest
@@ -24,23 +30,43 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _digests(field: FieldConfig, seeds) -> dict[str, str]:
+def _full_precision_text(s) -> str:
+    lines = [repr(s.initial_energy_total)]
+    lines += [f"{r.residual_energy_total!r},{r.p_used!r},{r.kappa_used!r}"
+              for r in s.series]
+    lines += map(repr, s.consumed_series)
+    return "\n".join(lines)
+
+
+@functools.cache
+def _digests(field: FieldConfig, seeds) -> tuple[dict[str, str], dict[str, str]]:
+    """(byte digests, full-precision digests) of every algorithm x seed."""
     radio = RadioParams()
     summaries = [run_simulation(field, radio, name, seed)
                  for name in algorithm_names() for seed in seeds]
     out = {f"{s.algorithm}/seed-{s.seed}.csv": _sha(round_csv_text(s))
            for s in summaries}
     out["summary.json"] = _sha(summary_json_text(summaries))
-    return out
+    full = {f"{s.algorithm}/seed-{s.seed}": _sha(_full_precision_text(s))
+            for s in summaries}
+    return out, full
 
 
 def default_field_digests() -> dict[str, str]:
     """All 18 algorithms x seeds 0-2 on the default field, to extinction."""
-    return _digests(FieldConfig(), SEEDS)
+    return _digests(FieldConfig(), SEEDS)[0]
 
 
 def multi_block_digests() -> dict[str, str]:
-    return _digests(MULTI_BLOCK_FIELD, (0,))
+    return _digests(MULTI_BLOCK_FIELD, (0,))[0]
+
+
+def default_field_full_precision() -> dict[str, str]:
+    return _digests(FieldConfig(), SEEDS)[1]
+
+
+def multi_block_full_precision() -> dict[str, str]:
+    return _digests(MULTI_BLOCK_FIELD, (0,))[1]
 
 
 GOLDEN_DEFAULT = {
@@ -123,6 +149,84 @@ GOLDEN_MULTI_BLOCK = {
     'summary.json': '8ceacd31d27391163cf480b46cc7e82cb2b0a682084f9eeafd9d1767df34c072',
 }
 
+FULL_PRECISION_DEFAULT = {
+    'leach/seed-0': 'da1cc17be58c25d2f67dcddb27b3abc209cb08a730aaff792c6020882e592fe2',
+    'leach/seed-1': '133d0cc8f17f9d34b0298b71dcc5d652fb8c53aa7b3dc762b3b7f393eaaad31c',
+    'leach/seed-2': 'a5585ffbcab10b89475b19034c5c5cea385383782c724a40fcf94c776d5bea0d',
+    'leach-kp/seed-0': 'ddd03bc687b7fa3005bb52e475b3c3aae0acbc9c2a20a1e7e441e3bab92826c6',
+    'leach-kp/seed-1': '1df479f44f37cdb738715e704d7b63251b8d48d0fe1f4358ef206d6f1d3515e1',
+    'leach-kp/seed-2': '13bec32800c6697d39afeda74499ff0f7e0c5e4b1a6c11922d83d1d94f13d1f8',
+    'leach-kep/seed-0': '8647b0f78a706635401f4651bcdb14011c27e16d264dddac48f31262217d4dd2',
+    'leach-kep/seed-1': 'a6dd85222cea742fce42c9abf09271c790c51382a8d73f5a82625c31d1d41c71',
+    'leach-kep/seed-2': '2aaa6a4c340fb41229ced383acc1b4ebfdd9d153d7400055bcb29bf83997aaa4',
+    'leach-kef-1-1/seed-0': 'cfce591bf6a2aca1cc03c0dd2a665840d7e2c8a4f37f27e16bd620859a5f0733',
+    'leach-kef-1-1/seed-1': 'b1f86a6cff807612846e1a7cc1696cf0c116b017d01620ea957db9dad3c1500f',
+    'leach-kef-1-1/seed-2': 'e152340147b577e37c6822302716ee3f079aea50787390858d6fed2ac6c86b1d',
+    'leach-kef-1-1-p/seed-0': '52f502414620b62aeefb282f2b82b7047babf8a1c21c1578d4c2112f5968e4a7',
+    'leach-kef-1-1-p/seed-1': '3939d514a21c09103067cbfa387c21c510f3b450ff1e6a56869957a2dcbd926e',
+    'leach-kef-1-1-p/seed-2': 'df533cbb8b4b337373607d19c3edeb06a81f03ea0b886272af45994c257bf9ef',
+    'leach-kef-1-1-p-learning/seed-0': '0b4f593d1f3d3dbfd0266211515392457e04bfdefe9e5ace7e71d6a324a7d2c5',
+    'leach-kef-1-1-p-learning/seed-1': 'f45499d8f1e7a0cf83cd42fd966cdcac4ac96b6a6f3652bceb785487164320fc',
+    'leach-kef-1-1-p-learning/seed-2': '13a7d9ef242043d6c8d6fabdcc145a495e7cf00e5da4fba96448a33d770e5250',
+    'leach-kef-1-2/seed-0': '263036aa5f83872339eea149fb195ad36a012bfda076e544b068951f4bcfdee7',
+    'leach-kef-1-2/seed-1': 'b7ef974efaf36c806b414d39c7d614713de0c0991b7eed1af4e15ce46dd1b26a',
+    'leach-kef-1-2/seed-2': 'bd292168609d97af7582f3cfb9f0d1f5fff3bf08c6ff4ecf42a752c426c80bab',
+    'leach-kef-1-2-p/seed-0': '4817e2cbc4673112ae93d74fd8b1548bc1314c7a1bbde9cd482e43b7d78f1798',
+    'leach-kef-1-2-p/seed-1': 'c7b578c7a2d9ca876b6c8c606a01e202ebc3c034842221166c86e2e32768b7a5',
+    'leach-kef-1-2-p/seed-2': '862f44403cf7fdc3e1479bbec68d0ffc94b8420de845dc2f2d9c98af59caf8b0',
+    'leach-kef-1-2-p-learning/seed-0': 'ee1fd402342fa871e5225dc52ac4d45f58f339ee20e462c5bcccbb2561c06ec3',
+    'leach-kef-1-2-p-learning/seed-1': 'fc03b1f77a0161624a0ee733be2c99c8d7cc3f01c5cf0989c09be7c3dfbdab7a',
+    'leach-kef-1-2-p-learning/seed-2': 'a145d59f1679aac4011d87e254ed8d9b24c83dcd75a3f8fac463ee1116a6d447',
+    'sep/seed-0': '3af1abd12f784a100c85d74df46b724e256256cdf0612f5f30761708dcc22440',
+    'sep/seed-1': '611bc64f42a446c888f584b6ad1235c9d0cc1576643fc4701f68bddb79297c82',
+    'sep/seed-2': 'c1f7540adfed0d9361839654aac736b43e48a0a4d03b751f0cfe67c0dba4d72d',
+    'sep-kp/seed-0': '0c542847acdcf2f6ea91ae1c211188b8f2fd7c024ae6255b3edd70c424979798',
+    'sep-kp/seed-1': 'aa3f55ffe7e590843eefad42aba37c823c9dee5cc5a3d102ada654f6b0eb7bf7',
+    'sep-kp/seed-2': '3445d10aa228a51790e0b9b11f00cdacd89bd6d444b5926bbd37e6ca167767eb',
+    'sep-kep/seed-0': '7a3389c6fdeb6d9d3c39f10efd330bd23a2ae36b024d7ea75a79429833a3b97a',
+    'sep-kep/seed-1': 'd713d6976a67a4747afd8f5d62f27c7351e42c686f49d6ad74e05d68ec8dc12d',
+    'sep-kep/seed-2': '04d7659d5f5e2004beb5b6bf85769cd46288f6595e3afec0a096a7c17e0f48b5',
+    'sep-kef-1-1/seed-0': '092e7786dedc5c2d351c1bb620789ffedf92acb32be7c27a0166d825bfb5e7c8',
+    'sep-kef-1-1/seed-1': '4bbe64c5db0abe0352e4e5cb0d11af418ae5cff65ea6726ec99a56f07439a908',
+    'sep-kef-1-1/seed-2': 'e0cb629b805e0ad28948795e80e9400b307ec1268b40c3296451217f32930059',
+    'sep-kef-1-1-p/seed-0': '5163d33562adf73b8367f4a55f1586048aba30209e25cd82c4d370f529af6409',
+    'sep-kef-1-1-p/seed-1': '0b028c211020d5209fdf2e3866ccef1c5dbb7332d88516591fa96c53cac27ad5',
+    'sep-kef-1-1-p/seed-2': '4130ba52db02fc1586cdcff27e143f282dad73c04ed4ea16748a60f7338ac8dd',
+    'sep-kef-1-1-p-learning/seed-0': '65d19d84e30df9a774a2fa5987eb6c901d568ef4d33cb7563c1375149b189d5e',
+    'sep-kef-1-1-p-learning/seed-1': 'cf95999e0d80178fa36f03d8c6e4ab9c3635372bf533c2aee8dc018702e11cb7',
+    'sep-kef-1-1-p-learning/seed-2': 'c30f4ed34c2b914283111b21fa8eca3a3a1af14730c790429500ae89f74be174',
+    'sep-kef-1-2/seed-0': '6b97fa5265c0f01807437c3e7bdef00bada4583aaebf5f13c73e16a9bccfda1d',
+    'sep-kef-1-2/seed-1': '171b5eb15426a45b9cde968c5c4eda0e4204bed96f48910f2dd8ee4d80af9bff',
+    'sep-kef-1-2/seed-2': '92474563a1c256c8bb23fa705b209045001d058c7e94a584a8ddec84ae63be1c',
+    'sep-kef-1-2-p/seed-0': '62671936370e33873dac93526d2eebdcf837431354873e7153354ed39fb226df',
+    'sep-kef-1-2-p/seed-1': 'ed0c62a4953fe1519544a8ca5ef1b89aa4fd326d44b6c311b5ab53ef235c3295',
+    'sep-kef-1-2-p/seed-2': 'b8ecba5fdab188a5306c33cae2017d56536b88305c48f1aa1a3756793ffd0ad1',
+    'sep-kef-1-2-p-learning/seed-0': '79bc1f07d65e7f9d2018a01ea7dacedce2feaa22283cd8373260f81df00a7802',
+    'sep-kef-1-2-p-learning/seed-1': 'de52d2e690046db856fd4f34eb1d0b685eab2453688a1f31393ab7a938440429',
+    'sep-kef-1-2-p-learning/seed-2': 'c25a134652380f10e521a0ad14fdd4bbcdde56cad62a2bd64bfe67910ac583da',
+}
+
+FULL_PRECISION_MULTI_BLOCK = {
+    'leach/seed-0': 'b7a7ca7e2bee74014889256e4b7be2526042a890bd934c0f7e5d52329182043d',
+    'leach-kp/seed-0': '00bde8a8f4b25b0e756d721fb7a05eee0a9b9e96f47a42df9e873c54e1850a92',
+    'leach-kep/seed-0': '23207d8d43af19e0cd6f5244b964ed5e6b4af8bde7ec1e2b3d94a81689009e37',
+    'leach-kef-1-1/seed-0': '8c26c0b816b46152eed4bd0fed6de43bc58d51314cb7305987589c0631979804',
+    'leach-kef-1-1-p/seed-0': 'ac3a388296a9d45c134074f608e9d72d7d7d726c30c7e1bca35e8d8eb6b48354',
+    'leach-kef-1-1-p-learning/seed-0': 'ac3a388296a9d45c134074f608e9d72d7d7d726c30c7e1bca35e8d8eb6b48354',
+    'leach-kef-1-2/seed-0': '2c98b6cf5532052576c5e851b5f06346ea40a40c335d1fb54ab7c587d2952b29',
+    'leach-kef-1-2-p/seed-0': 'a5a6a25da5ac9a889c5792142412a090ebb393730f54ee59a113640c680009cf',
+    'leach-kef-1-2-p-learning/seed-0': 'a5a6a25da5ac9a889c5792142412a090ebb393730f54ee59a113640c680009cf',
+    'sep/seed-0': '1699c15fbedb5de9cf3dbb3b77a7e8eb6dfd2438655232d0659aff674c0f4687',
+    'sep-kp/seed-0': 'f98555884b2b9d95fc914751585e779cf8b314aee7b6044bdb7cf9e66cc5a38c',
+    'sep-kep/seed-0': 'b167bf660aa40b1af048d38eacba1aa77b2e0108d960175399bc1bfedb94e077',
+    'sep-kef-1-1/seed-0': 'cc9c265239c5e44c115e204b28c1081c15279e912f4e03099a8a920dc33e96f7',
+    'sep-kef-1-1-p/seed-0': '82e4791ddf138d228abd35a39a54139a9adf7ee0c2fd9a2d8b2e954db52bef48',
+    'sep-kef-1-1-p-learning/seed-0': '82e4791ddf138d228abd35a39a54139a9adf7ee0c2fd9a2d8b2e954db52bef48',
+    'sep-kef-1-2/seed-0': 'ed8822c6c40d21cfbccbcc68d495c216ede782cf9e7fa88c32408577cf0995e9',
+    'sep-kef-1-2-p/seed-0': '65e8c872d8bfb974334b0292359e3b6ce6855895a826cfb8e9264a04cdda6097',
+    'sep-kef-1-2-p-learning/seed-0': '65e8c872d8bfb974334b0292359e3b6ce6855895a826cfb8e9264a04cdda6097',
+}
+
 
 def test_default_field_bytes():
     assert default_field_digests() == GOLDEN_DEFAULT
@@ -132,9 +236,19 @@ def test_multi_block_field_bytes():
     assert multi_block_digests() == GOLDEN_MULTI_BLOCK
 
 
+def test_default_field_full_precision():
+    assert default_field_full_precision() == FULL_PRECISION_DEFAULT
+
+
+def test_multi_block_field_full_precision():
+    assert multi_block_full_precision() == FULL_PRECISION_MULTI_BLOCK
+
+
 if __name__ == "__main__":
     for label, digests in (("GOLDEN_DEFAULT", default_field_digests()),
-                           ("GOLDEN_MULTI_BLOCK", multi_block_digests())):
+                           ("GOLDEN_MULTI_BLOCK", multi_block_digests()),
+                           ("FULL_PRECISION_DEFAULT", default_field_full_precision()),
+                           ("FULL_PRECISION_MULTI_BLOCK", multi_block_full_precision())):
         print(f"{label} = {{")
         for key, value in digests.items():
             print(f"    {key!r}: {value!r},")
