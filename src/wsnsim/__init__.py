@@ -13,7 +13,7 @@ from .election import (ElectionOutcome, ElectionPolicy, elect_cluster_heads,
                        sep_probabilities)
 from .membership import (ClusterAssignment, JoinPolicy, assign_members,
                          energy_distance_ratio)
-from .model import (FieldConfig, Node, RadioParams, aggregation_energy,
+from .model import (FieldConfig, Network, RadioParams, aggregation_energy,
                     deploy_field, distance_threshold, rx_energy, tx_energy)
 from .reporting import (SimulationSummary, stability_metrics, write_round_csv,
                         write_summary_json)
@@ -27,7 +27,7 @@ __all__ = [
     "ElectionOutcome", "ElectionPolicy", "elect_cluster_heads",
     "energy_threshold", "leach_threshold", "refresh_epoch", "sep_probabilities",
     "ClusterAssignment", "JoinPolicy", "assign_members", "energy_distance_ratio",
-    "FieldConfig", "Node", "RadioParams", "aggregation_energy", "deploy_field",
+    "FieldConfig", "Network", "RadioParams", "aggregation_energy", "deploy_field",
     "distance_threshold", "rx_energy", "tx_energy",
     "SimulationSummary", "stability_metrics", "write_round_csv",
     "write_summary_json",

@@ -2,15 +2,16 @@
 
 The per-round network energy, as a function of the cluster radius d, has one
 interior minimum; its argmin gives the optimal radius, from which the maximum
-sensible number of cluster-heads per round follows. A golden-section minimizer
-is provided as an independent numerical cross-check of the closed form.
+sensible number of cluster-heads per round follows.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .model import FieldConfig, Node, RadioParams
+import numpy as np
+
+from .model import FieldConfig, Network, RadioParams, ordered_sum
 
 
 @dataclass(frozen=True)
@@ -77,41 +78,15 @@ def adaptive_probability(kappa_max: float, alive_count: int) -> float:
     return min(1.0, kappa_max / alive_count)
 
 
-def representative_bs_distance(nodes: list[Node], bs: tuple[float, float]) -> float:
+def bs_distances(xy: np.ndarray, bs: tuple[float, float]) -> np.ndarray:
+    """math.hypot distance to the base station of each column of the (2, N) `xy`."""
+    return np.array(list(map(math.hypot, (xy[0] - bs[0]).tolist(),
+                             (xy[1] - bs[1]).tolist())))
+
+
+def representative_bs_distance(network: Network, bs: tuple[float, float]) -> float:
     """Mean Euclidean distance from alive nodes to the base station."""
-    bx, by = bs
-    alive = [n for n in nodes if n.alive]
+    alive = int(np.count_nonzero(network.alive))
     if not alive:
         raise ValueError("no alive nodes")
-    return sum(n.distance_to(bx, by) for n in alive) / len(alive)
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_minimize(f, lo: float, hi: float, iterations: int = 200) -> float:
-    """Golden-section argmin of a unimodal f on [lo, hi]."""
-    a, b = lo, hi
-    c = b - (b - a) * _INV_PHI
-    d = a + (b - a) * _INV_PHI
-    fc, fd = f(c), f(d)
-    for _ in range(iterations):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INV_PHI
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INV_PHI
-            fd = f(d)
-    return (a + b) / 2.0
-
-
-def argmin_total_energy(inputs: AnalysisInputs, lo: float = 1e-3,
-                        hi: float | None = None, iterations: int = 200) -> float:
-    """Numerical argmin of total_energy over d, searched in log space."""
-    if hi is None:
-        hi = math.sqrt(2.0) * inputs.field.side_m
-    t = golden_section_minimize(lambda u: total_energy(inputs, math.exp(u)),
-                                math.log(lo), math.log(hi), iterations)
-    return math.exp(t)
+    return ordered_sum(bs_distances(network.xy[:, network.alive], bs)) / alive

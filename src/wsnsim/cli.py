@@ -43,6 +43,14 @@ def _parse_int(raw, key, line):
         raise ConfigError(f"line {line}: key {key!r}: cannot parse {raw!r} as an integer")
 
 
+def _unique(values: list, key: str) -> list:
+    """values, unless one is repeated: a batch runs each (algorithm, seed) once."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{key}: {v!r} given more than once")
+    return values
+
+
 _FIELD_KEYS = {
     "side": ("side_m", _parse_float),
     "nodes": ("node_count", _parse_int),
@@ -98,13 +106,15 @@ def parse_config(path: str | Path) -> RunConfig:
         elif key == "bs_y":
             bs_y = _parse_float(raw, key, lineno)
         elif key == "algorithms":
-            cfg.algorithms = [a.strip().lower() for a in raw.split(",") if a.strip()]
+            cfg.algorithms = _unique([a.strip().lower() for a in raw.split(",") if a.strip()],
+                                     f"line {lineno}: key {key!r}")
             for name in cfg.algorithms:
                 if name not in algorithm_names():
                     raise ConfigError(f"line {lineno}: unknown algorithm {name!r}")
         elif key == "seeds":
-            cfg.seeds = [_parse_int(s.strip(), key, lineno)
-                         for s in raw.split(",") if s.strip()]
+            cfg.seeds = _unique([_parse_int(s.strip(), key, lineno)
+                                 for s in raw.split(",") if s.strip()],
+                                f"line {lineno}: key {key!r}")
         elif key == "output_dir":
             cfg.output_dir = Path(raw)
         elif key == "formats":
@@ -159,9 +169,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(args.config) if args.config else RunConfig()
         if args.algorithm:
-            cfg.algorithms = [a.lower() for a in args.algorithm]
+            cfg.algorithms = _unique([a.lower() for a in args.algorithm], "--algorithm")
         if args.seed:
-            cfg.seeds = list(args.seed)
+            cfg.seeds = _unique(list(args.seed), "--seed")
         if args.rounds is not None:
             if args.rounds < 0:
                 raise ConfigError(f"--rounds must be >= 0, got {args.rounds}")
@@ -200,3 +210,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

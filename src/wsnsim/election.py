@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .model import ADVANCED, NORMAL, Node, round_half_up
+import numpy as np
+
+from .model import ADVANCED, NORMAL, Network, ordered_sum, round_half_up
 
 PLAIN = "plain"
 ENERGY_WEIGHTED = "energy_weighted"
@@ -96,26 +98,24 @@ class ElectionPolicy:
 @dataclass(frozen=True)
 class ElectionOutcome:
     heads: list[int]
-    probability_used: dict[str, float]
     candidates_before_cap: int
 
 
-def refresh_epoch(nodes: list[Node], tier_probs: dict[str, float], round_no: int) -> None:
+def refresh_epoch(network: Network, tier_probs: dict[str, float], round_no: int) -> None:
     """Re-admit alive nodes to the candidate pool at their tier's epoch boundary."""
     for tier, p in tier_probs.items():
         if round_no % epoch_length(p) == 0:
-            for node in nodes:
-                if node.alive and node.tier == tier:
-                    node.eligible = True
+            in_tier = network.advanced if tier == ADVANCED else ~network.advanced
+            network.eligible |= network.alive & in_tier
 
 
-def elect_cluster_heads(nodes: list[Node], policy: ElectionPolicy, round_no: int,
+def elect_cluster_heads(network: Network, policy: ElectionPolicy, round_no: int,
                         p_adp: float | None, rng: random.Random) -> ElectionOutcome:
     """Run one round of self-election; returns the (possibly capped) head set.
 
     Draws happen in node-id order for alive eligible nodes only, which keeps
-    the outcome a pure function of (nodes, policy, round, rng state). When the
-    candidate set exceeds the cap, the cap-many highest-residual-energy
+    the outcome a pure function of (network, policy, round, rng state). When
+    the candidate set exceeds the cap, the cap-many highest-residual-energy
     candidates are kept, ties broken by lower id. Heads leave the candidate
     pool until their tier's next epoch boundary.
 
@@ -125,34 +125,22 @@ def elect_cluster_heads(nodes: list[Node], policy: ElectionPolicy, round_no: int
     shrinking it as the network drains.
     """
     tier_probs = policy.tier_probabilities(p_adp)
+    ids = np.flatnonzero(network.alive & network.eligible)
+    draws = [rng.random() for _ in range(ids.size)]
     # The rotating threshold depends only on the tier's p and the round.
-    tier_thresholds = {tier: leach_threshold(p, round_no, True)
-                       for tier, p in tier_probs.items()}
-    energy_weighted = policy.threshold_kind == ENERGY_WEIGHTED
-    mean_fraction = 1.0
-    if energy_weighted and policy.adaptive:
-        fractions = [n.residual_energy / n.initial_energy for n in nodes if n.alive]
-        if fractions:
-            mean_fraction = sum(fractions) / len(fractions)
-    candidates = []
-    for node in nodes:
-        if not (node.alive and node.eligible):
-            continue
-        thr = tier_thresholds[node.tier]
-        if energy_weighted:
-            # energy_threshold, with the tier's threshold computed once
-            thr *= node.residual_energy / node.initial_energy
-            if policy.adaptive:
-                thr = min(1.0, thr / mean_fraction)
-        if rng.random() < thr:
-            candidates.append(node)
-    before_cap = len(candidates)
+    thr = np.where(network.advanced[ids], leach_threshold(tier_probs[ADVANCED], round_no, True),
+                   leach_threshold(tier_probs[NORMAL], round_no, True))
+    if policy.threshold_kind == ENERGY_WEIGHTED:
+        fraction = network.e_res / network.e0
+        thr = thr * fraction[ids]   # energy_threshold, elementwise
+        if policy.adaptive and ids.size:   # divided by the alive-mean fraction
+            alive = network.alive
+            thr = np.minimum(1.0, thr / (ordered_sum(fraction[alive])
+                                         / int(np.count_nonzero(alive))))
+    candidates = ids[np.array(draws) < thr]
+    before_cap = candidates.size
     if policy.cap is not None and before_cap > policy.cap:
-        candidates.sort(key=lambda n: (-n.residual_energy, n.id))
-        candidates = candidates[:policy.cap]
-    heads = sorted(n.id for n in candidates)
-    for node in candidates:
-        node.eligible = False
-        node.last_head_round = round_no
-    return ElectionOutcome(heads=heads, probability_used=tier_probs,
-                           candidates_before_cap=before_cap)
+        best = np.lexsort((candidates, -network.e_res[candidates]))[:policy.cap]
+        candidates = np.sort(candidates[best])
+    network.eligible[candidates] = False
+    return ElectionOutcome(heads=candidates.tolist(), candidates_before_cap=before_cap)

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .model import Node
+from .model import Network
 
 NEAREST = "nearest"
 ENERGY_DISTANCE = "energy_distance"
@@ -41,11 +42,27 @@ class JoinPolicy:
             raise ValueError("energy_distance join needs alpha, beta > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterAssignment:
-    members: dict[int, int]     # member node id -> head node id
-    unassigned: list[int]       # direct-to-BS fallback (no heads this round)
-    distances: list[float]      # member-to-head distances, in `members` order
+    """Each member's head and distance, as arrays over the members in id order."""
+
+    member_ids: np.ndarray      # alive non-heads, ascending
+    head_ids: np.ndarray        # the head each member joined
+    distances: np.ndarray       # member-to-head distances
+    unassigned_ids: np.ndarray  # direct-to-BS fallback (no heads this round)
+
+    @cached_property
+    def members(self) -> dict[int, int]:   # member node id -> head node id
+        return dict(zip(self.member_ids.tolist(), self.head_ids.tolist()))
+
+    @property
+    def unassigned(self) -> list[int]:
+        return self.unassigned_ids.tolist()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ClusterAssignment) and all(
+            np.array_equal(getattr(self, k), getattr(other, k))
+            for k in ("member_ids", "head_ids", "distances", "unassigned_ids"))
 
 
 def energy_distance_ratio(e_res: float, distance: float,
@@ -57,35 +74,30 @@ def energy_distance_ratio(e_res: float, distance: float,
     return e_res ** alpha / distance ** beta
 
 
-def assign_members(nodes: list[Node], heads: list[int], policy: JoinPolicy,
-                   xy: np.ndarray) -> ClusterAssignment:
+def assign_members(network: Network, heads, policy: JoinPolicy) -> ClusterAssignment:
     """Assign every alive non-head node to a head per the join policy.
 
-    Ties go to the lower head id. `nodes` is the whole field in id order
-    (nodes[i].id == i); column i of the (2, N) `xy` is node i's position.
-    Each member is scored against the heads of its 3x3 block of grid cells
-    (against all heads when there are few), in blocks of member rows:
-    O(N + H + block) memory.
+    Ties go to the lower head id. Each member is scored against the heads of
+    its 3x3 block of grid cells (against all heads when there are few), in
+    blocks of member rows: O(N + H + block) memory.
     """
-    head_ids = sorted(heads)
-    if xy.shape != (2, len(nodes)) or any(nodes[h].id != h for h in head_ids):
-        raise ValueError("assign_members needs nodes[i].id == i and xy of shape (2, N)")
-    head_set = set(head_ids)
-    member_ids = [n.id for n in nodes if n.alive and n.id not in head_set]
-    if not (head_ids and member_ids):   # without heads all go direct to the BS
-        return ClusterAssignment({}, [] if head_ids else member_ids, [])
+    head_ids = np.sort(np.asarray(heads, dtype=np.intp))
+    joining = network.alive.copy()
+    joining[head_ids] = False
+    member_ids = np.flatnonzero(joining)
+    if not (head_ids.size and member_ids.size):   # without heads all go direct to the BS
+        none = member_ids[:0]
+        return ClusterAssignment(none, none, np.empty(0), none if head_ids.size else member_ids)
 
-    h, m = (np.take(xy, ids, axis=1) for ids in (head_ids, member_ids))
-    weights = None if policy.kind == NEAREST else \
-        np.array([nodes[i].residual_energy for i in head_ids]) ** policy.alpha
-    if len(member_ids) * len(head_ids) <= _EXACT_PAIRS:
+    h, m = (np.take(network.xy, ids, axis=1) for ids in (head_ids, member_ids))
+    weights = None if policy.kind == NEAREST else network.e_res[head_ids] ** policy.alpha
+    if member_ids.size * head_ids.size <= _EXACT_PAIRS:
         choice = _exact_choice(m, h, weights, policy.beta)
     else:
         with np.errstate(all="ignore"):   # inf/nan screen scores are re-decided
             choice = _screened_choice(m, h, weights, policy.beta)
     dist = np.hypot(m[0] - h[0, choice], m[1] - h[1, choice])   # no dearer than a table read-back
-    members = dict(zip(member_ids, [head_ids[c] for c in choice.tolist()]))
-    return ClusterAssignment(members, [], dist.tolist())
+    return ClusterAssignment(member_ids, head_ids[choice], dist, member_ids[:0])
 
 
 def _screened_choice(m, h, weights, beta) -> np.ndarray:

@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 def round_half_up(x: float) -> int:
@@ -90,36 +93,40 @@ class FieldConfig:
 NORMAL = "normal"
 ADVANCED = "advanced"
 
+NodeRecord = namedtuple("NodeRecord", "id x y advanced initial_energy "
+                                      "residual_energy alive eligible")
 
-@dataclass
-class Node:
-    """One sensor node: position, tier, and mutable energy/role state."""
 
-    id: int
-    x: float
-    y: float
-    tier: str
-    initial_energy: float
-    residual_energy: float = field(default=-1.0)
-    alive: bool = True
-    eligible: bool = True
-    last_head_round: int | None = None
+@dataclass(eq=False)
+class Network:
+    """The field's nodes as one array per attribute; index i is node i."""
+
+    xy: np.ndarray                          # (2, N) positions, m
+    advanced: np.ndarray                    # bool: the advanced tier
+    e0: np.ndarray                          # initial energy, J
+    e_res: np.ndarray = field(init=False)   # residual energy, J
+    alive: np.ndarray = field(init=False)
+    eligible: np.ndarray = field(init=False)  # may still serve as head this epoch
 
     def __post_init__(self) -> None:
-        if self.residual_energy < 0:
-            self.residual_energy = self.initial_energy
+        self.e_res = self.e0.copy()
+        self.alive = np.ones(self.e0.size, dtype=bool)
+        self.eligible = np.ones(self.e0.size, dtype=bool)
 
-    def distance_to(self, x: float, y: float) -> float:
-        return math.hypot(self.x - x, self.y - y)
+    def __len__(self) -> int:
+        return self.e0.size
 
-    def drain(self, amount: float) -> float:
-        """Subtract energy, clamped at zero. Returns the amount actually drawn."""
-        if amount < 0:
-            raise ValueError(f"drain amount must be >= 0, got {amount!r}")
-        drawn = min(amount, self.residual_energy)
-        self.residual_energy -= drawn
-        self.alive = self.residual_energy > 0
-        return drawn
+    def __iter__(self):
+        """A snapshot of each node, in id order, for inspection."""
+        return map(NodeRecord._make, zip(
+            range(len(self)), *self.xy.tolist(), self.advanced.tolist(), self.e0.tolist(),
+            self.e_res.tolist(), self.alive.tolist(), self.eligible.tolist()))
+
+
+def ordered_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum, alike on every Python and numpy: np.sum adds
+    pairwise, and the builtin sum() is compensated from Python 3.12."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def distance_threshold(params: RadioParams) -> float:
@@ -134,15 +141,18 @@ def tx_energy(params: RadioParams, bits: int, distance: float) -> float:
     _require_finite("distance", distance)
     if distance < 0:
         raise ValueError(f"distance must be >= 0, got {distance!r}")
-    return _tx_energy(params, bits, distance)
+    return float(tx_energies(params, bits, np.array([float(distance)]))[0])
 
 
-def _tx_energy(params: RadioParams, bits: int, distance: float) -> float:
-    """tx_energy without argument checks, for the round engine: its bits are
-    RadioParams.packet_bits (> 0) and its distances np.hypot of finite points."""
-    if distance <= params._crossover:
-        return bits * params.elec_energy_per_bit + bits * params.fs_amp * distance ** 2
-    return bits * params.elec_energy_per_bit + bits * params.mp_amp * distance ** 4
+def tx_energies(params: RadioParams, bits: int, distances: np.ndarray) -> np.ndarray:
+    """tx_energy of each distance, without argument checks (the round engine's
+    bits are RadioParams.packet_bits and its distances np.hypot of finite
+    points). The powers are Python's `**`: numpy's d*d and np.power differ
+    from it in some last bits."""
+    far = distances > params._crossover
+    powers = list(map(pow, distances.tolist(), np.where(far, 4.0, 2.0).tolist()))
+    amp = np.where(far, bits * params.mp_amp, bits * params.fs_amp)
+    return bits * params.elec_energy_per_bit + amp * np.array(powers)
 
 
 def rx_energy(params: RadioParams, bits: int) -> float:
@@ -161,25 +171,20 @@ def aggregation_energy(params: RadioParams, bits: int, signal_count: int) -> flo
     return bits * params.aggregation_energy_per_bit * signal_count
 
 
-def deploy_field(config: FieldConfig, rng: random.Random) -> list[Node]:
+def deploy_field(config: FieldConfig, rng: random.Random) -> Network:
     """Place nodes uniformly at random and assign tiers.
 
-    Positions are drawn first for all node ids in order; the advanced tier is
-    then assigned to the first round(m*N) indices of a seeded shuffle, so the
-    tier split is independent of position-generation order.
+    Positions are drawn first for all node ids in order, x then y; the
+    advanced tier is then assigned to the first round(m*N) indices of a
+    seeded shuffle, so the tier split is independent of position-generation
+    order.
     """
     n = config.node_count
-    positions = [(rng.uniform(0.0, config.side_m), rng.uniform(0.0, config.side_m))
-                 for _ in range(n)]
+    draws = [rng.uniform(0.0, config.side_m) for _ in range(2 * n)]
     order = list(range(n))
     rng.shuffle(order)
-    advanced_ids = set(order[:round_half_up(config.advanced_fraction * n)])
+    advanced = np.zeros(n, dtype=bool)
+    advanced[order[:round_half_up(config.advanced_fraction * n)]] = True
     e0 = config.initial_energy
-    e_adv = e0 * (1.0 + config.advanced_energy_factor)
-    nodes = []
-    for i, (x, y) in enumerate(positions):
-        if i in advanced_ids:
-            nodes.append(Node(id=i, x=x, y=y, tier=ADVANCED, initial_energy=e_adv))
-        else:
-            nodes.append(Node(id=i, x=x, y=y, tier=NORMAL, initial_energy=e0))
-    return nodes
+    return Network(np.array(draws).reshape(n, 2).T.copy(), advanced,
+                   np.where(advanced, e0 * (1.0 + config.advanced_energy_factor), e0))

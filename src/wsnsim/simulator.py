@@ -9,13 +9,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import reporting
-from .analysis import (AnalysisInputs, adaptive_probability, max_clusters,
-                       representative_bs_distance)
+from .analysis import (AnalysisInputs, adaptive_probability, bs_distances,
+                       max_clusters, representative_bs_distance)
 from .election import (ENERGY_WEIGHTED, PLAIN, ElectionPolicy,
                        elect_cluster_heads, refresh_epoch)
 from .membership import ENERGY_DISTANCE, NEAREST, JoinPolicy, assign_members
-from .model import (ADVANCED, FieldConfig, Node, RadioParams, _tx_energy,
-                    aggregation_energy, deploy_field, round_half_up, rx_energy)
+from .model import (FieldConfig, Network, RadioParams, aggregation_energy,
+                    deploy_field, ordered_sum, round_half_up, rx_energy,
+                    tx_energies)
 
 RNG_ALGORITHM = "python-random-mt19937"
 
@@ -89,26 +90,26 @@ class RoundRecord:
 
 @dataclass
 class SimulationState:
-    """Mutable per-run state; owns the node list and static geometry caches."""
+    """Mutable per-run state: the network, and what is fixed per run."""
 
-    nodes: list[Node]
+    network: Network
     round: int
     kappa_max_raw: float
     p_effective: float
-    xy: np.ndarray                # (2, N) node coordinates, column = node id
-    bs_dist: list[float]          # node-to-BS distances (np.hypot), uplink cost
-    bs_dist_mean: list[float]     # the same by math.hypot, for the learning mean
+    uplink: np.ndarray            # each node's cost of one packet to the BS, J
+    bs_dist_mean: np.ndarray      # node-to-BS distances by math.hypot, for the learning mean
+    policy: ElectionPolicy | None = None   # built from kappa_max_raw when None
     cumulative_consumed: float = 0.0
     initial_total: float = 0.0
 
 
-def _geometry_caches(nodes: list[Node], bs: tuple[float, float]
-                     ) -> tuple[np.ndarray, list[float], list[float]]:
-    """O(N) static geometry: coordinates, and BS distances by np.hypot and by
-    representative_bs_distance's math.hypot (they differ in some last bits)."""
-    xy = np.array([[n.x for n in nodes], [n.y for n in nodes]], dtype=float)
-    bs_dist = np.hypot(xy[0] - bs[0], xy[1] - bs[1]).tolist()
-    return xy, bs_dist, [n.distance_to(*bs) for n in nodes]
+def _geometry_caches(network: Network, bs: tuple[float, float],
+                     radio: RadioParams) -> tuple[np.ndarray, np.ndarray]:
+    """Set-up: each node's uplink cost at its np.hypot distance to the BS,
+    and its math.hypot distance for the learning mean (they differ in some
+    last bits, and each result follows its own)."""
+    dist = np.hypot(network.xy[0] - bs[0], network.xy[1] - bs[1])
+    return tx_energies(radio, radio.packet_bits, dist), bs_distances(network.xy, bs)
 
 
 def _election_policy(algo: AlgorithmSpec, field: FieldConfig,
@@ -134,14 +135,14 @@ def learning_update(state: SimulationState, radio: RadioParams,
     the a-priori inputs, so the budget is a fixed point until the first death.
     The mean adds set-up distances in id order, as representative_bs_distance does.
     """
-    alive_dist = [d for n, d in zip(state.nodes, state.bs_dist_mean) if n.alive]
-    if not alive_dist:
+    alive = state.network.alive
+    count = int(np.count_nonzero(alive))
+    if not count:
         raise ValueError("no alive nodes")
-    d_bs = sum(alive_dist) / len(alive_dist)
+    d_bs = ordered_sum(state.bs_dist_mean[alive]) / count
     if d_bs <= 0:
         return state.kappa_max_raw
-    inputs = AnalysisInputs(radio=radio,
-                            field=replace(field, node_count=len(alive_dist)),
+    inputs = AnalysisInputs(radio=radio, field=replace(field, node_count=count),
                             bs_distance=d_bs)
     return max_clusters(inputs).raw
 
@@ -152,57 +153,50 @@ def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
 
     Election and membership are decided first; the steady state then charges
     members for the uplink to their head, heads for receive + aggregate +
-    BS uplink, and headless nodes for a direct BS uplink. Deaths take effect
-    at the end of the round; the adapted probability and (when learning) the
+    BS uplink, and headless nodes for a direct BS uplink. Each alive node has
+    one role and is charged once; the consumed total adds members, then
+    heads, then headless nodes, each in id order. Deaths take effect at the
+    end of the round; the adapted probability and (when learning) the
     cluster budget are recomputed last for the next round.
     """
-    nodes = state.nodes
-    policy = _election_policy(algo, field, state.kappa_max_raw)
+    net = state.network
+    if state.policy is None:
+        state.policy = _election_policy(algo, field, state.kappa_max_raw)
     p_adp = state.p_effective if algo.adaptive_p else None
-    tier_probs = policy.tier_probabilities(p_adp)
-    refresh_epoch(nodes, tier_probs, state.round)
-    outcome = elect_cluster_heads(nodes, policy, state.round, p_adp, rng)
-    assignment = assign_members(nodes, outcome.heads, algo.join, state.xy)
+    refresh_epoch(net, state.policy.tier_probabilities(p_adp), state.round)
+    outcome = elect_cluster_heads(net, state.policy, state.round, p_adp, rng)
+    heads = np.array(outcome.heads, dtype=np.intp)
+    assignment = assign_members(net, heads, algo.join)
 
     l = radio.packet_bits
-    kappa_used = state.kappa_max_raw
-    p_used = state.p_effective
-    consumed = 0.0
-    member_counts = dict.fromkeys(outcome.heads, 0)
-    for (mid, hid), d in zip(assignment.members.items(), assignment.distances):
-        consumed += nodes[mid].drain(_tx_energy(radio, l, d))
-        member_counts[hid] += 1
-    for hid in outcome.heads:
-        mc = member_counts[hid]
-        cost = (mc * rx_energy(radio, l)
-                + aggregation_energy(radio, l, mc + 1)
-                + _tx_energy(radio, l, state.bs_dist[hid]))
-        consumed += nodes[hid].drain(cost)
-    for uid in assignment.unassigned:
-        consumed += nodes[uid].drain(_tx_energy(radio, l, state.bs_dist[uid]))
+    counts = np.bincount(assignment.head_ids, minlength=len(net))[heads]
+    head_cost = (counts * rx_energy(radio, l) + aggregation_energy(radio, l, 1) * (counts + 1)
+                 + state.uplink[heads])
+    headless = assignment.unassigned_ids
+    charged = np.concatenate((assignment.member_ids, heads, headless))
+    cost = np.concatenate((tx_energies(radio, l, assignment.distances), head_cost,
+                           state.uplink[headless]))
+    residual = net.e_res[charged]
+    drawn = np.minimum(cost, residual)
+    net.e_res[charged] = residual - drawn
+    np.greater(net.e_res, 0.0, out=net.alive)
+    state.cumulative_consumed += ordered_sum(drawn)
 
-    state.cumulative_consumed += consumed
-    alive = dead_normal = dead_advanced = 0
-    residual = 0.0
-    for node in nodes:
-        residual += node.residual_energy
-        if node.alive:
-            alive += 1
-        elif node.tier == ADVANCED:
-            dead_advanced += 1
-        else:
-            dead_normal += 1
-    record = RoundRecord(round=state.round, alive=alive,
-                         dead_total=dead_normal + dead_advanced,
-                         dead_normal=dead_normal, dead_advanced=dead_advanced,
-                         head_count=len(outcome.heads),
-                         residual_energy_total=residual,
-                         p_used=p_used, kappa_used=kappa_used)
+    n = len(net)
+    alive = int(np.count_nonzero(net.alive))
+    dead_advanced = int(np.count_nonzero(net.advanced & ~net.alive))
+    record = RoundRecord(round=state.round, alive=alive, dead_total=n - alive,
+                         dead_normal=n - alive - dead_advanced,
+                         dead_advanced=dead_advanced, head_count=heads.size,
+                         residual_energy_total=ordered_sum(net.e_res),
+                         p_used=state.p_effective, kappa_used=state.kappa_max_raw)
 
     if alive > 0:
         # The budget evolves first so the adapted probability sees it.
         if algo.learning_kappa:
-            state.kappa_max_raw = learning_update(state, radio, field)
+            kappa = learning_update(state, radio, field)
+            if kappa != state.kappa_max_raw:
+                state.kappa_max_raw, state.policy = kappa, None
         if algo.adaptive_p:
             state.p_effective = adaptive_probability(state.kappa_max_raw, alive)
     state.round += 1
@@ -220,25 +214,25 @@ def run_simulation(field: FieldConfig, radio: RadioParams,
     if isinstance(algo, str):
         algo = algorithm(algo)
     rng = random.Random(seed)
-    nodes = deploy_field(field, rng)
-    xy, bs_dist, bs_dist_mean = _geometry_caches(nodes, field.bs_position)
-    d_bs0 = representative_bs_distance(nodes, field.bs_position)
+    network = deploy_field(field, rng)
+    uplink, bs_dist_mean = _geometry_caches(network, field.bs_position, radio)
+    d_bs0 = representative_bs_distance(network, field.bs_position)
     if d_bs0 <= 0:
         raise ValueError("all nodes co-located with the base station; "
                          "cluster budget undefined")
     budget = max_clusters(AnalysisInputs(radio=radio, field=field, bs_distance=d_bs0))
-    state = SimulationState(nodes=nodes, round=0, kappa_max_raw=budget.raw,
-                            p_effective=field.base_probability,
-                            xy=xy, bs_dist=bs_dist, bs_dist_mean=bs_dist_mean,
-                            initial_total=sum(n.initial_energy for n in nodes))
+    state = SimulationState(network=network, round=0, kappa_max_raw=budget.raw,
+                            p_effective=field.base_probability, uplink=uplink,
+                            bs_dist_mean=bs_dist_mean,
+                            initial_total=ordered_sum(network.e0))
 
     series: list[RoundRecord] = []
     consumed_series: list[float] = []
-    for _ in range(field.max_rounds):
-        if not any(n.alive for n in nodes):
-            break
+    alive = len(network)
+    while alive and len(series) < field.max_rounds:
         series.append(run_round(state, algo, radio, field, rng))
         consumed_series.append(state.cumulative_consumed)
+        alive = series[-1].alive
 
     first, half, last = reporting.stability_metrics(series, field.node_count)
     return reporting.SimulationSummary(

@@ -1,6 +1,22 @@
+import shutil
+import tempfile
+
 import pytest
+from hypothesis import configuration
 
 from wsnsim import FieldConfig, RadioParams
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants it reads from the sources under its
+    # home directory, `.hypothesis/` in the working directory by default,
+    # at collection time; a test run leaves nothing in the checkout.
+    config.hypothesis_home = tempfile.mkdtemp(prefix="wsnsim-hypothesis-")
+    configuration.set_hypothesis_home_dir(config.hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.hypothesis_home, ignore_errors=True)
 
 
 @pytest.fixture

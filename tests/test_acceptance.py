@@ -12,14 +12,14 @@ import statistics
 import time
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
+from numerics import argmin_total_energy
+from reference_engine import Node, network_of
 from wsnsim import (AnalysisInputs, ElectionPolicy, FieldConfig, JoinPolicy,
-                    Node, RadioParams, algorithm, algorithm_names,
+                    RadioParams, algorithm, algorithm_names,
                     assign_members, elect_cluster_heads, max_clusters,
                     optimal_distance, run_simulation)
-from wsnsim.analysis import argmin_total_energy
 from wsnsim.cli import main
 from wsnsim.election import ENERGY_WEIGHTED, PLAIN
 from wsnsim.membership import ENERGY_DISTANCE, NEAREST
@@ -215,11 +215,11 @@ def test_criterion_6_membership_equivalence():
                       tier="normal", initial_energy=0.5)
                  for i in range(n)]
         heads = rng.sample(range(n), rng.randrange(1, min(6, n)))
-        xy = np.array([[nd.x for nd in nodes], [nd.y for nd in nodes]])
+        net = network_of(nodes)
         for alpha, beta in ((1.0, 1.0), (1.0, 2.0)):
             by_ratio = assign_members(
-                nodes, heads, JoinPolicy(ENERGY_DISTANCE, alpha, beta), xy)
-            by_dist = assign_members(nodes, heads, JoinPolicy(NEAREST), xy)
+                net, heads, JoinPolicy(ENERGY_DISTANCE, alpha, beta))
+            by_dist = assign_members(net, heads, JoinPolicy(NEAREST))
             if by_ratio != by_dist:
                 mismatches += 1
     report(6, mismatches == 0,
@@ -245,7 +245,7 @@ def test_criterion_8_epoch_final_slot_forces_election():
                           initial_energy=0.5) for i in range(100)]
             policy = ElectionPolicy(threshold_kind=kind, base_probability=p,
                                     cap=14)
-            out = elect_cluster_heads(nodes, policy, final_slot, None,
+            out = elect_cluster_heads(network_of(nodes), policy, final_slot, None,
                                       random.Random(seed))
             if out.candidates_before_cap != 100:
                 all_elected = False

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from wsnsim import (AnalysisInputs, FieldConfig, Node, RadioParams,
+from numerics import argmin_total_energy
+from reference_engine import Node, network_of
+from wsnsim import (AnalysisInputs, FieldConfig, RadioParams,
                     adaptive_probability, max_clusters, optimal_distance,
                     representative_bs_distance, total_energy)
-from wsnsim.analysis import argmin_total_energy
 
 # Closed-form values at the default parameter set with a 50 m uplink distance,
 # frozen after computing them by direct evaluation of the formulas.
@@ -143,21 +144,21 @@ class TestRepresentativeBsDistance:
 
     def test_single_node(self):
         nodes = [self._node(0, 0.0, 0.0)]
-        assert representative_bs_distance(nodes, (50.0, 50.0)) == pytest.approx(
+        assert representative_bs_distance(network_of(nodes), (50.0, 50.0)) == pytest.approx(
             math.sqrt(5000))
 
     def test_colocated_degenerate(self):
         nodes = [self._node(0, 50.0, 50.0), self._node(1, 50.0, 50.0)]
-        assert representative_bs_distance(nodes, (50.0, 50.0)) == 0.0
+        assert representative_bs_distance(network_of(nodes), (50.0, 50.0)) == 0.0
 
     def test_ignores_dead_nodes(self):
         nodes = [self._node(0, 0.0, 50.0), self._node(1, 90.0, 50.0, alive=False)]
-        assert representative_bs_distance(nodes, (50.0, 50.0)) == pytest.approx(50.0)
+        assert representative_bs_distance(network_of(nodes), (50.0, 50.0)) == pytest.approx(50.0)
 
     def test_no_alive_nodes(self):
         nodes = [self._node(0, 0.0, 0.0, alive=False)]
         with pytest.raises(ValueError):
-            representative_bs_distance(nodes, (50.0, 50.0))
+            representative_bs_distance(network_of(nodes), (50.0, 50.0))
 
     def test_uniform_square_mean_matches_monte_carlo(self):
         # Independent oracle: Monte-Carlo estimate of E||U - c|| for U uniform
@@ -169,5 +170,12 @@ class TestRepresentativeBsDistance:
         assert mc == pytest.approx(38.2598, abs=0.15)
         nodes = [self._node(i, rng.uniform(0, 100), rng.uniform(0, 100))
                  for i in range(20_000)]
-        assert representative_bs_distance(nodes, (50.0, 50.0)) == pytest.approx(
+        assert representative_bs_distance(network_of(nodes), (50.0, 50.0)) == pytest.approx(
             38.2598, abs=0.6)
+
+    def test_mean_adds_left_to_right(self):
+        # Distances 1 and ten of 1e-16: a compensated or pairwise sum
+        # would not give exactly 1.0 before the division.
+        nodes = [self._node(0, 1.0, 0.0)] + [self._node(i, 1e-16, 0.0)
+                                             for i in range(1, 11)]
+        assert representative_bs_distance(network_of(nodes), (0.0, 0.0)) == 1.0 / 11

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +124,36 @@ class TestMain:
         err = capsys.readouterr().err
         assert "configuration error" in err and f"{name} must be finite" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["--algorithm", "leach", "--algorithm", "LEACH"], "--algorithm", "'leach'"),
+        (["--algorithm", "leach", "--seed", "1", "--seed", "1"], "--seed", "1")])
+    def test_repeated_flag_value_is_config_error(self, capsys, tmp_path, argv, key, value):
+        rc = main(argv + ["--rounds", "1", "--output-dir", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"{key}: {value} given more than once" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line, value", [("algorithms = sep, leach, sep", "'sep'"),
+                                             ("seeds = 1, 2, 1", "1")])
+    def test_repeated_config_value_is_config_error(self, capsys, tmp_path, line, value):
+        cfg = write_cfg(tmp_path, f"algorithms = leach\n{line}\n")
+        rc = main(["--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        key = line.split()[0]
+        err = capsys.readouterr().err
+        assert f"line 2: key '{key}': {value} given more than once" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_module_entry_point(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-m", "wsnsim", "--list-algorithms"],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == EXIT_OK
+        assert out.stdout.split() == algorithm_names()
 
     def test_negative_rounds_rejected(self, tmp_path):
         rc = main(["--algorithm", "leach", "--rounds", "-1",

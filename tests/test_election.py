@@ -3,7 +3,8 @@ import statistics
 
 import pytest
 
-from wsnsim import (ElectionPolicy, Node, elect_cluster_heads, energy_threshold,
+from reference_engine import Node, network_of
+from wsnsim import (ElectionPolicy, elect_cluster_heads, energy_threshold,
                     leach_threshold, refresh_epoch, sep_probabilities)
 from wsnsim.election import ENERGY_WEIGHTED, epoch_length
 
@@ -11,6 +12,10 @@ from wsnsim.election import ENERGY_WEIGHTED, epoch_length
 def make_nodes(count, energy=0.5, tier="normal"):
     return [Node(id=i, x=float(i), y=0.0, tier=tier, initial_energy=energy)
             for i in range(count)]
+
+
+def make_network(count, energy=0.5, tier="normal"):
+    return network_of(make_nodes(count, energy, tier))
 
 
 class TestLeachThreshold:
@@ -86,10 +91,9 @@ class TestSepProbabilities:
 
 class TestElectClusterHeads:
     def test_no_eligible_nodes_means_no_heads(self):
-        nodes = make_nodes(10)
-        for n in nodes:
-            n.eligible = False
-        out = elect_cluster_heads(nodes, ElectionPolicy(), 3, None, random.Random(1))
+        net = make_network(10)
+        net.eligible[:] = False
+        out = elect_cluster_heads(net, ElectionPolicy(), 3, None, random.Random(1))
         assert out.heads == []
         assert out.candidates_before_cap == 0
 
@@ -103,16 +107,16 @@ class TestElectClusterHeads:
             n.initial_energy = 1.0
             n.residual_energy = e
         policy = ElectionPolicy(base_probability=0.1, cap=10)
-        out = elect_cluster_heads(nodes, policy, 9, None, random.Random(2))
+        out = elect_cluster_heads(network_of(nodes), policy, 9, None, random.Random(2))
         assert out.candidates_before_cap == 100
         assert len(out.heads) == 10
         top = sorted(nodes, key=lambda n: (-n.residual_energy, n.id))[:10]
         assert out.heads == sorted(n.id for n in top)
 
     def test_cap_tie_breaks_by_lower_id(self):
-        nodes = make_nodes(6, energy=0.5)
+        net = make_network(6, energy=0.5)
         policy = ElectionPolicy(base_probability=0.5, cap=3)
-        out = elect_cluster_heads(nodes, policy, 1, None, random.Random(3))
+        out = elect_cluster_heads(net, policy, 1, None, random.Random(3))
         # p=0.5, r=1: threshold 1 -> all 6 candidates, equal energy: ids 0,1,2
         assert out.heads == [0, 1, 2]
 
@@ -126,44 +130,43 @@ class TestElectClusterHeads:
                         residual_energy=n.residual_energy * 3)
                    for n in nodes_a]
         policy = ElectionPolicy(base_probability=0.3, cap=5)
-        out_a = elect_cluster_heads(nodes_a, policy, 2, None, random.Random(9))
-        out_b = elect_cluster_heads(nodes_b, policy, 2, None, random.Random(9))
+        out_a = elect_cluster_heads(network_of(nodes_a), policy, 2, None, random.Random(9))
+        out_b = elect_cluster_heads(network_of(nodes_b), policy, 2, None, random.Random(9))
         assert out_a.heads == out_b.heads
 
     def test_deterministic_given_seed(self):
         policy = ElectionPolicy(base_probability=0.1)
-        out1 = elect_cluster_heads(make_nodes(100), policy, 0, None, random.Random(4))
-        out2 = elect_cluster_heads(make_nodes(100), policy, 0, None, random.Random(4))
+        out1 = elect_cluster_heads(make_network(100), policy, 0, None, random.Random(4))
+        out2 = elect_cluster_heads(make_network(100), policy, 0, None, random.Random(4))
         assert out1 == out2
 
     def test_elected_nodes_leave_candidate_pool(self):
-        nodes = make_nodes(20)
+        net = make_network(20)
         policy = ElectionPolicy(base_probability=0.5)
-        out = elect_cluster_heads(nodes, policy, 0, None, random.Random(6))
+        out = elect_cluster_heads(net, policy, 0, None, random.Random(6))
         assert out.heads  # p=0.5 over 20 nodes: some heads with this seed
         for hid in out.heads:
-            assert not nodes[hid].eligible
-            assert nodes[hid].last_head_round == 0
+            assert not net.eligible[hid]
 
     def test_dead_nodes_never_elected(self):
         nodes = make_nodes(20)
         for n in nodes[:10]:
             n.drain(n.residual_energy + 1)
         policy = ElectionPolicy(base_probability=1.0)
-        out = elect_cluster_heads(nodes, policy, 0, None, random.Random(8))
+        out = elect_cluster_heads(network_of(nodes), policy, 0, None, random.Random(8))
         assert set(out.heads) == {n.id for n in nodes[10:]}
 
     def test_expected_head_count_matches_base_probability(self):
         # Over full epochs each node serves exactly once, so the long-run
         # per-round head count under p with N alive nodes averages p*N.
-        nodes = make_nodes(100)
+        net = make_network(100)
         policy = ElectionPolicy(base_probability=0.1)
         rng = random.Random(12)
         counts = []
         rounds = 2000
         for r in range(rounds):
-            refresh_epoch(nodes, policy.tier_probabilities(), r)
-            counts.append(len(elect_cluster_heads(nodes, policy, r, None, rng).heads))
+            refresh_epoch(net, policy.tier_probabilities(), r)
+            counts.append(len(elect_cluster_heads(net, policy, r, None, rng).heads))
         mean = statistics.fmean(counts)
         se = statistics.stdev(counts) / rounds ** 0.5
         assert abs(mean - 10.0) <= 3 * se + 1e-9
@@ -178,14 +181,15 @@ class TestElectClusterHeads:
         rng = random.Random(21)
         for n in nodes:
             n.residual_energy = n.initial_energy * rng.uniform(0.1, 1.0)
+        net = network_of(nodes)
         policy = ElectionPolicy(threshold_kind=ENERGY_WEIGHTED,
                                 base_probability=0.1, adaptive=True)
         p_adp = 0.2
         counts = []
         trials = 2000
         for _ in range(trials):
-            refresh_epoch(nodes, policy.tier_probabilities(p_adp), 0)
-            counts.append(len(elect_cluster_heads(nodes, policy, 0, p_adp,
+            refresh_epoch(net, policy.tier_probabilities(p_adp), 0)
+            counts.append(len(elect_cluster_heads(net, policy, 0, p_adp,
                                                   rng).heads))
         mean = statistics.fmean(counts)
         se = statistics.stdev(counts) / trials ** 0.5
@@ -194,7 +198,7 @@ class TestElectClusterHeads:
     def test_adaptive_policy_requires_p_adp(self):
         policy = ElectionPolicy(adaptive=True)
         with pytest.raises(ValueError):
-            elect_cluster_heads(make_nodes(5), policy, 0, None, random.Random(1))
+            elect_cluster_heads(make_network(5), policy, 0, None, random.Random(1))
 
     def test_sep_adaptive_preserves_tier_ratio(self):
         policy = ElectionPolicy(base_probability=0.1, sep_params=(1.0, 0.1),
@@ -214,29 +218,29 @@ class TestRefreshEpoch:
         assert epoch_length(0.9) == 1
 
     def test_reeligible_at_boundaries(self):
-        nodes = make_nodes(5)
+        net = make_network(5)
         probs = {"normal": 0.1, "advanced": 0.1}
-        for n in nodes:
-            n.eligible = False
-        refresh_epoch(nodes, probs, 5)
-        assert not any(n.eligible for n in nodes)
-        refresh_epoch(nodes, probs, 10)
-        assert all(n.eligible for n in nodes)
+        net.eligible[:] = False
+        refresh_epoch(net, probs, 5)
+        assert not any(net.eligible)
+        refresh_epoch(net, probs, 10)
+        assert all(net.eligible)
 
     def test_elected_at_round_three_sits_out_rest_of_epoch(self):
-        nodes = make_nodes(1)
+        net = make_network(1)
         probs = {"normal": 0.1, "advanced": 0.1}
-        nodes[0].eligible = False  # served at round 3
+        net.eligible[0] = False  # served at round 3
         for r in range(4, 10):
-            refresh_epoch(nodes, probs, r)
-            assert not nodes[0].eligible
-        refresh_epoch(nodes, probs, 10)
-        assert nodes[0].eligible
+            refresh_epoch(net, probs, r)
+            assert not net.eligible[0]
+        refresh_epoch(net, probs, 10)
+        assert net.eligible[0]
 
     def test_dead_nodes_stay_out(self):
         nodes = make_nodes(3)
         for n in nodes:
             n.drain(1.0)
             n.eligible = False
-        refresh_epoch(nodes, {"normal": 0.1, "advanced": 0.1}, 0)
-        assert not any(n.eligible for n in nodes)
+        net = network_of(nodes)
+        refresh_epoch(net, {"normal": 0.1, "advanced": 0.1}, 0)
+        assert not any(net.eligible)

@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from wsnsim import (ClusterAssignment, FieldConfig, JoinPolicy, Node,
-                    assign_members, deploy_field, energy_distance_ratio)
+from reference_engine import Node, full_table_assign, network_of
+from wsnsim import (ClusterAssignment, FieldConfig, JoinPolicy, assign_members,
+                    deploy_field, energy_distance_ratio)
 from wsnsim import membership
 from wsnsim.membership import ENERGY_DISTANCE, NEAREST
 
@@ -15,9 +16,8 @@ def node(i, x, y, energy=0.5):
                 residual_energy=energy)
 
 
-def coords(nodes):
-    """The (2, N) coordinate array assign_members reads, column = node id."""
-    return np.array([[n.x for n in nodes], [n.y for n in nodes]], dtype=float)
+def assign(nodes, heads, policy):
+    return assign_members(network_of(nodes), heads, policy)
 
 
 def random_instance(rng, n_nodes, n_heads, equal_energy=False):
@@ -58,27 +58,27 @@ class TestJoinPolicyValidation:
 class TestAssignMembers:
     def test_no_heads_all_unassigned(self):
         nodes = [node(i, i, 0.0) for i in range(5)]
-        out = assign_members(nodes, [], JoinPolicy(NEAREST), coords(nodes))
+        out = assign(nodes, [], JoinPolicy(NEAREST))
         assert out.members == {}
         assert out.unassigned == [0, 1, 2, 3, 4]
 
     def test_single_head_takes_all(self):
         nodes = [node(i, i * 10.0, 0.0) for i in range(6)]
-        out = assign_members(nodes, [2], JoinPolicy(NEAREST), coords(nodes))
+        out = assign(nodes, [2], JoinPolicy(NEAREST))
         assert out.members == {i: 2 for i in range(6) if i != 2}
         assert out.unassigned == []
 
     def test_nearest_assignment(self):
         nodes = [node(0, 0, 0), node(1, 100, 0), node(2, 10, 0), node(3, 90, 0)]
-        out = assign_members(nodes, [0, 1], JoinPolicy(NEAREST), coords(nodes))
+        out = assign(nodes, [0, 1], JoinPolicy(NEAREST))
         assert out.members == {2: 0, 3: 1}
 
     def test_equidistant_unequal_energy_joins_richer_head(self):
         heads = [node(0, 0.0, 0.0, energy=0.2), node(1, 20.0, 0.0, energy=0.8)]
         member = node(2, 10.0, 0.0)
         nodes = heads + [member]
-        out = assign_members(nodes, [0, 1],
-                             JoinPolicy(ENERGY_DISTANCE, alpha=1, beta=1), coords(nodes))
+        out = assign(nodes, [0, 1],
+                             JoinPolicy(ENERGY_DISTANCE, alpha=1, beta=1))
         assert out.members == {2: 1}
 
     def test_exact_tie_goes_to_lower_head_id(self):
@@ -86,22 +86,21 @@ class TestAssignMembers:
         member = node(2, 10.0, 0.0)
         for policy in (JoinPolicy(NEAREST),
                        JoinPolicy(ENERGY_DISTANCE, alpha=1, beta=2)):
-            out = assign_members(heads + [member], [0, 1], policy,
-                                 coords(heads + [member]))
+            out = assign(heads + [member], [0, 1], policy)
             assert out.members == {2: 0}
 
     def test_colocated_member_joins_that_head(self):
         heads = [node(0, 10.0, 10.0, energy=0.0), node(1, 10.5, 10.0, energy=0.9)]
         member = node(2, 10.0, 10.0)
         nodes = heads + [member]
-        out = assign_members(nodes, [0, 1],
-                             JoinPolicy(ENERGY_DISTANCE, alpha=1, beta=2), coords(nodes))
+        out = assign(nodes, [0, 1],
+                             JoinPolicy(ENERGY_DISTANCE, alpha=1, beta=2))
         assert out.members == {2: 0}
 
     def test_dead_nodes_not_assigned(self):
         nodes = [node(0, 0, 0), node(1, 50, 0), node(2, 10, 0)]
         nodes[2].drain(1.0)
-        out = assign_members(nodes, [0], JoinPolicy(NEAREST), coords(nodes))
+        out = assign(nodes, [0], JoinPolicy(NEAREST))
         assert out.members == {1: 0}
 
     def test_partition_property(self):
@@ -109,7 +108,7 @@ class TestAssignMembers:
         for _ in range(50):
             nodes, heads = random_instance(rng, 30, 4)
             policy = JoinPolicy(ENERGY_DISTANCE, alpha=1, beta=2)
-            out = assign_members(nodes, heads, policy, coords(nodes))
+            out = assign(nodes, heads, policy)
             alive = {n.id for n in nodes if n.alive}
             assigned = set(out.members) | set(out.unassigned) | set(heads)
             assert assigned == alive
@@ -120,19 +119,17 @@ class TestAssignMembers:
         for _ in range(100):
             nodes, heads = random_instance(rng, 25, 5, equal_energy=True)
             for alpha, beta in ((1, 1), (1, 2), (2, 3)):
-                by_ratio = assign_members(nodes, heads,
-                                          JoinPolicy(ENERGY_DISTANCE, alpha, beta),
-                                          coords(nodes))
-                by_dist = assign_members(nodes, heads, JoinPolicy(NEAREST),
-                                         coords(nodes))
+                by_ratio = assign(nodes, heads,
+                                          JoinPolicy(ENERGY_DISTANCE, alpha, beta))
+                by_dist = assign(nodes, heads, JoinPolicy(NEAREST))
                 assert by_ratio == by_dist
 
     def test_deterministic(self):
         rng = random.Random(23)
         nodes, heads = random_instance(rng, 40, 6)
         policy = JoinPolicy(ENERGY_DISTANCE, alpha=1, beta=1)
-        assert assign_members(nodes, heads, policy, coords(nodes)) == \
-            assign_members(nodes, heads, policy, coords(nodes))
+        assert assign(nodes, heads, policy) == \
+            assign(nodes, heads, policy)
 
     def test_brute_force_oracle_small_instances(self):
         # Exhaustive pairwise ratio evaluation, no vectorization, as an
@@ -142,9 +139,8 @@ class TestAssignMembers:
             n = rng.randrange(2, 11)
             nodes, heads = random_instance(rng, n, rng.randrange(1, n))
             alpha, beta = rng.choice([(1, 1), (1, 2)])
-            out = assign_members(nodes, heads,
-                                 JoinPolicy(ENERGY_DISTANCE, alpha, beta),
-                                 coords(nodes))
+            out = assign(nodes, heads,
+                                 JoinPolicy(ENERGY_DISTANCE, alpha, beta))
             by_id = {x.id: x for x in nodes}
             for m in (x for x in nodes if x.alive and x.id not in set(heads)):
                 best, best_ratio = None, -1.0
@@ -161,32 +157,10 @@ class TestAssignMembers:
 
 def reference_assign(nodes, heads, policy):
     """Full-table np.hypot assignment: the pre-blocking fallback, verbatim."""
-    head_ids = sorted(heads)
-    head_set = set(head_ids)
-    member_ids = [n.id for n in nodes if n.alive and n.id not in head_set]
-    if not head_ids:
-        return ClusterAssignment(members={}, unassigned=member_ids, distances=[])
-    if not member_ids:
-        return ClusterAssignment(members={}, unassigned=[], distances=[])
-
-    by_id = {n.id: n for n in nodes}
-    hx = np.array([by_id[h].x for h in head_ids])
-    hy = np.array([by_id[h].y for h in head_ids])
-    mx = np.array([by_id[m].x for m in member_ids])
-    my = np.array([by_id[m].y for m in member_ids])
-    dist = np.hypot(mx[:, None] - hx[None, :], my[:, None] - hy[None, :])
-
-    if policy.kind == NEAREST:
-        choice = np.argmin(dist, axis=1)   # first occurrence -> lowest head id
-    else:
-        energies = np.array([by_id[h].residual_energy for h in head_ids])
-        safe = np.maximum(dist, 1e-12)
-        ratio = energies[None, :] ** policy.alpha / safe ** policy.beta
-        ratio[dist <= 0] = np.inf
-        choice = np.argmax(ratio, axis=1)
-    members = {m: head_ids[c] for m, c in zip(member_ids, choice)}
-    distances = [float(dist[i, c]) for i, c in enumerate(choice)]
-    return ClusterAssignment(members=members, unassigned=[], distances=distances)
+    members, unassigned, distances = full_table_assign(list(nodes), heads, policy)
+    return ClusterAssignment(np.array(list(members), dtype=np.intp),
+                             np.array(list(members.values()), dtype=np.intp),
+                             np.array(distances), np.array(unassigned, dtype=np.intp))
 
 
 ORACLE_POLICIES = [JoinPolicy(NEAREST)] + [
@@ -253,21 +227,6 @@ def oracle_instance(rng, kind, n_max=40):
     return nodes, heads
 
 
-class TestAssignMembersContract:
-    """Node ids index both `nodes` and the columns of `xy`; anything else is refused."""
-
-    def test_reordered_node_list_rejected(self):
-        nodes = [node(i, 10.0 * i, 0.0, energy=0.1 * (i + 1)) for i in range(4)]
-        xy = coords(nodes)
-        with pytest.raises(ValueError, match="nodes\\[i\\].id == i"):
-            assign_members(nodes[::-1], [0, 3], JoinPolicy(ENERGY_DISTANCE), xy)
-
-    def test_subset_node_list_rejected(self):
-        nodes = [node(i, 10.0 * i, 0.0) for i in range(4)]
-        with pytest.raises(ValueError, match="shape"):
-            assign_members(nodes[1:], [1], JoinPolicy(NEAREST), coords(nodes))
-
-
 class TestAssignMembersOracle:
     """Both screens, grid and all-heads, must decide exactly as the full np.hypot table."""
 
@@ -299,9 +258,9 @@ class TestAssignMembersOracle:
     def check(rng, kind):
         for _ in range(150):
             nodes, heads = oracle_instance(rng, kind)
-            xy = coords(nodes)
+            net = network_of(nodes)
             for policy in ORACLE_POLICIES:
-                assert assign_members(nodes, heads, policy, xy) == \
+                assert assign_members(net, heads, policy) == \
                     reference_assign(nodes, heads, policy), (kind, policy)
 
     def test_multi_block_instance(self):
@@ -309,9 +268,9 @@ class TestAssignMembersOracle:
         nodes, _ = random_instance(rng, 5500, 1)
         heads = rng.sample(range(5500), 500)   # 5 000 x 500, many blocks of rows
         assert 5000 * 9 * membership._HEADS_PER_CELL > membership._BLOCK
-        xy = coords(nodes)
+        net = network_of(nodes)
         for policy in ORACLE_POLICIES:
-            assert assign_members(nodes, heads, policy, xy) == \
+            assert assign_members(net, heads, policy) == \
                 reference_assign(nodes, heads, policy)
 
     def test_hypot_order_beats_squared_distance_order(self):
@@ -324,16 +283,16 @@ class TestAssignMembersOracle:
         dist = [float(np.hypot(nodes[h].x, nodes[h].y)) for h in (0, 1)]
         assert dx2[1] < dx2[0] and dist[0] < dist[1]
         for policy in ORACLE_POLICIES:
-            out = assign_members(nodes, [0, 1], policy, coords(nodes))
+            out = assign(nodes, [0, 1], policy)
             assert out.members == {2: 0}
-            assert out.distances == [dist[0]]
+            assert out.distances.tolist() == [dist[0]]
 
 
 class TestGridPruning:
     """The 3x3 block settles almost every row; few are screened again on all heads."""
 
     @staticmethod
-    def count_rows(nodes, heads, policy, monkeypatch):
+    def count_rows(network, heads, policy, monkeypatch):
         """Rows screened on all heads after the grid's first pass, and rows
         decided by _exact_choice."""
         screened, exact = [], []
@@ -344,8 +303,8 @@ class TestGridPruning:
 
         monkeypatch.setattr(membership, "_screen", counting(screen, screened))
         monkeypatch.setattr(membership, "_exact_choice", counting(exact_choice, exact))
-        out = assign_members(nodes, heads, policy, coords(nodes))
-        assert out == reference_assign(nodes, heads, policy)
+        out = assign_members(network, heads, policy)
+        assert out == reference_assign(network, heads, policy)
         return sum(screened) - len(out.members), sum(exact)
 
     @pytest.mark.parametrize("policy", [JoinPolicy(NEAREST),
@@ -354,9 +313,9 @@ class TestGridPruning:
     def test_few_rows_are_redecided(self, policy, monkeypatch):
         # The simulator's own deployment: uniform positions, 0.5 J normal and
         # 1.0 J advanced heads, as on a large field's early rounds.
-        nodes = deploy_field(FieldConfig(node_count=5000), random.Random(26))
+        network = deploy_field(FieldConfig(node_count=5000), random.Random(26))
         heads = random.Random(27).sample(range(5000), 500)
-        screened, exact = self.count_rows(nodes, heads, policy, monkeypatch)
+        screened, exact = self.count_rows(network, heads, policy, monkeypatch)
         assert screened + exact < 0.02 * 4500
 
     def test_guard_failures_are_screened_not_tabled(self, monkeypatch):
@@ -364,11 +323,10 @@ class TestGridPruning:
         # late in a lifetime run: its weight bounds every guard, and most rows
         # fail it. They are screened on all heads; the full np.hypot rule
         # decides only near ties.
-        nodes = deploy_field(FieldConfig(node_count=5000), random.Random(26))
+        network = deploy_field(FieldConfig(node_count=5000), random.Random(26))
         heads = random.Random(27).sample(range(5000), 500)
-        for h in heads:
-            nodes[h].residual_energy = 0.05
-        nodes[heads[0]].residual_energy = 0.5
+        network.e_res[heads] = 0.05
+        network.e_res[heads[0]] = 0.5
         policy = JoinPolicy(ENERGY_DISTANCE, alpha=1.0, beta=1.0)
-        screened, exact = self.count_rows(nodes, heads, policy, monkeypatch)
+        screened, exact = self.count_rows(network, heads, policy, monkeypatch)
         assert screened > 0.5 * 4500 and exact < 0.02 * 4500, (screened, exact)

@@ -1,10 +1,20 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from wsnsim import (FieldConfig, Node, RadioParams, aggregation_energy,
+import reference_engine
+from reference_engine import Node
+from wsnsim import (FieldConfig, RadioParams, aggregation_energy,
                     deploy_field, distance_threshold, rx_energy, tx_energy)
+from wsnsim.model import ordered_sum, tx_energies
+
+NETWORK_ARRAYS = ("xy", "advanced", "e0", "e_res", "alive", "eligible")
+
+
+def same_network(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in NETWORK_ARRAYS)
 
 
 class TestTxEnergy:
@@ -151,33 +161,71 @@ class TestFieldConfigValidation:
 
 class TestDeployField:
     def test_tier_split(self, field):
-        nodes = deploy_field(field, random.Random(3))
-        assert sum(n.tier == "advanced" for n in nodes) == 10
-        assert sum(n.tier == "normal" for n in nodes) == 90
+        net = deploy_field(field, random.Random(3))
+        assert sum(net.advanced) == 10
+        assert sum(~net.advanced) == 90
 
     def test_total_initial_energy(self, field):
-        nodes = deploy_field(field, random.Random(3))
-        assert sum(n.initial_energy for n in nodes) == pytest.approx(55.0)
-        for n in nodes:
-            expected = 1.0 if n.tier == "advanced" else 0.5
+        net = deploy_field(field, random.Random(3))
+        assert sum(net.e0) == pytest.approx(55.0)
+        for n in net:
+            expected = 1.0 if n.advanced else 0.5
             assert n.initial_energy == pytest.approx(expected)
             assert n.residual_energy == n.initial_energy
             assert n.alive and n.eligible
 
     def test_positions_inside_square(self, field):
-        nodes = deploy_field(field, random.Random(3))
+        net = deploy_field(field, random.Random(3))
         assert all(0 <= n.x <= field.side_m and 0 <= n.y <= field.side_m
-                   for n in nodes)
+                   for n in net)
 
     def test_same_seed_reproduces_exactly(self, field):
         a = deploy_field(field, random.Random(42))
         b = deploy_field(field, random.Random(42))
-        assert a == b
+        assert same_network(a, b)
 
     def test_different_seed_differs(self, field):
         a = deploy_field(field, random.Random(42))
         b = deploy_field(field, random.Random(43))
-        assert a != b
+        assert not same_network(a, b)
+
+    def test_draw_order_matches_the_scalar_reference(self):
+        field = FieldConfig(node_count=57, advanced_fraction=0.3,
+                            advanced_energy_factor=2.0)
+        rng_a, rng_b = random.Random(8), random.Random(8)
+        net = deploy_field(field, rng_a)
+        nodes = reference_engine.deploy_field(field, rng_b)
+        assert same_network(net, reference_engine.network_of(nodes))
+        assert rng_a.random() == rng_b.random()
+
+
+class TestTxEnergies:
+    def test_equals_the_scalar_formula_bit_for_bit(self, radio):
+        # Python's ** and numpy's d*d / np.power differ in some last bits;
+        # the array form must follow **.
+        d = np.random.default_rng(3).uniform(0.0, 200.0, 20_000)
+        expected = [reference_engine.tx_energy(radio, 4000, x) for x in d.tolist()]
+        assert tx_energies(radio, 4000, d).tolist() == expected
+
+
+class TestOrderedSum:
+    def test_adds_left_to_right(self):
+        # A compensated sum (builtin sum() from Python 3.12, math.fsum) and
+        # numpy's pairwise np.sum all differ from the sequential order here.
+        values = np.array([1.0] + [1e-16] * 10)
+        assert ordered_sum(values) == 1.0
+        assert np.sum(values) == 1.0000000000000007
+        assert math.fsum(values) == 1.000000000000001
+
+    def test_matches_a_sequential_loop(self):
+        values = np.random.default_rng(5).uniform(0.0, 0.5, 1000)
+        expected = 0.0
+        for v in values.tolist():
+            expected += v
+        assert ordered_sum(values) == expected
+
+    def test_empty_is_zero(self):
+        assert ordered_sum(np.empty(0)) == 0.0
 
 
 class TestNode:

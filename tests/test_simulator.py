@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsnsim import (FieldConfig, Node, RadioParams, SimulationState, algorithm,
+from reference_engine import Node, network_of
+from wsnsim import (FieldConfig, RadioParams, SimulationState, algorithm,
                     algorithm_names, learning_update, run_round, run_simulation)
-from wsnsim.model import round_half_up
+from wsnsim import simulator
+from wsnsim.model import ordered_sum, round_half_up
 from wsnsim.reporting import round_csv_text, summary_json_text
 from wsnsim.simulator import _geometry_caches
 
@@ -30,12 +32,13 @@ def small_field(**kw):
     return FieldConfig(**defaults)
 
 
-def make_state(nodes, bs, kappa=10.0, p=0.1):
-    xy, bs_dist, bs_dist_mean = _geometry_caches(nodes, bs)
-    return SimulationState(nodes=nodes, round=0, kappa_max_raw=kappa,
-                           p_effective=p, xy=xy, bs_dist=bs_dist,
-                           bs_dist_mean=bs_dist_mean,
-                           initial_total=sum(n.initial_energy for n in nodes))
+def make_state(network, bs, kappa=10.0, p=0.1, radio=RadioParams()):
+    if isinstance(network, list):
+        network = network_of(network)
+    uplink, bs_dist_mean = _geometry_caches(network, bs, radio)
+    return SimulationState(network=network, round=0, kappa_max_raw=kappa,
+                           p_effective=p, uplink=uplink, bs_dist_mean=bs_dist_mean,
+                           initial_total=ordered_sum(network.e0))
 
 
 class TestRegistry:
@@ -68,7 +71,7 @@ class TestRunRound:
         # plus the BS uplink, receives nothing.
         field = FieldConfig(node_count=1, base_probability=1.0, max_rounds=10)
         nodes = [Node(id=0, x=30.0, y=50.0, tier="normal", initial_energy=0.5)]
-        state = make_state(nodes, field.bs_position, kappa=1.0, p=1.0)
+        state = make_state(nodes, field.bs_position, kappa=1.0, p=1.0, radio=radio)
         rec = run_round(state, algorithm("leach"), radio, field, random.Random(1))
         l = radio.packet_bits
         expected = (l * radio.aggregation_energy_per_bit
@@ -82,7 +85,7 @@ class TestRunRound:
                  for i in range(4)]
         for n in nodes:
             n.eligible = False  # mid-epoch, everyone has served
-        state = make_state(nodes, field.bs_position)
+        state = make_state(nodes, field.bs_position, radio=radio)
         state.round = 3  # not an epoch boundary, so no refresh
         rec = run_round(state, algorithm("leach"), radio, field, random.Random(1))
         assert rec.head_count == 0
@@ -96,13 +99,13 @@ class TestRunRound:
         field = small_field()
         rng = random.Random(3)
         from wsnsim.model import deploy_field
-        nodes = deploy_field(field, rng)
-        state = make_state(nodes, field.bs_position)
+        net = deploy_field(field, rng)
+        state = make_state(net, field.bs_position, radio=radio)
         for _ in range(50):
-            before = sum(n.residual_energy for n in nodes)
+            before = sum(net.e_res)
             consumed_before = state.cumulative_consumed
             run_round(state, algorithm("leach"), radio, field, rng)
-            after = sum(n.residual_energy for n in nodes)
+            after = sum(net.e_res)
             # summation-order noise only; well inside 1e-9 of total energy
             assert state.cumulative_consumed - consumed_before == \
                 pytest.approx(before - after, abs=1e-9 * state.initial_total)
@@ -171,24 +174,33 @@ class TestRunSimulation:
         for rec in s.series:
             assert rec.head_count <= max(1, round_half_up(rec.kappa_used))
 
-    def test_dead_node_never_serves_again(self):
+    def test_dead_node_never_serves_again(self, monkeypatch):
         field = FieldConfig(node_count=30, max_rounds=800, initial_energy=0.03)
         radio = RadioParams()
         rng = random.Random(13)
         from wsnsim.model import deploy_field
-        nodes = deploy_field(field, rng)
-        state = make_state(nodes, field.bs_position)
+        net = deploy_field(field, rng)
+        state = make_state(net, field.bs_position)
+        last_head_round = {}
+        elect = simulator.elect_cluster_heads
+
+        def recording(network, policy, round_no, *args):
+            outcome = elect(network, policy, round_no, *args)
+            last_head_round.update(dict.fromkeys(outcome.heads, round_no))
+            return outcome
+
+        monkeypatch.setattr(simulator, "elect_cluster_heads", recording)
         death_round = {}
         for _ in range(field.max_rounds):
-            if not any(n.alive for n in nodes):
+            if not any(net.alive):
                 break
             run_round(state, algorithm("sep-kp"), radio, field, rng)
-            for n in nodes:
+            for n in net:
                 if not n.alive and n.id not in death_round:
                     death_round[n.id] = state.round - 1
         assert death_round  # the run must produce deaths to be meaningful
         for nid, died in death_round.items():
-            last = nodes[nid].last_head_round
+            last = last_head_round.get(nid)
             assert last is None or last <= died
 
     @pytest.mark.parametrize("sep_name, leach_name", [("sep", "leach"),
@@ -230,10 +242,10 @@ class TestLearningUpdate:
         from wsnsim.model import deploy_field
         from wsnsim.analysis import (AnalysisInputs, max_clusters,
                                      representative_bs_distance)
-        nodes = deploy_field(field, rng)
-        d0 = representative_bs_distance(nodes, field.bs_position)
+        net = deploy_field(field, rng)
+        d0 = representative_bs_distance(net, field.bs_position)
         initial = max_clusters(AnalysisInputs(radio, field, d0)).raw
-        state = make_state(nodes, field.bs_position, kappa=initial)
+        state = make_state(net, field.bs_position, kappa=initial)
         updated = learning_update(state, radio, field)
         assert updated == initial
 
@@ -248,14 +260,14 @@ class TestLearningUpdate:
         field = FieldConfig(node_count=60, max_rounds=50)
         radio = RadioParams()
         bx, by = field.bs_position
-        nodes = deploy_field(field, random.Random(4))
-        state = make_state(nodes, field.bs_position)
-        for n in nodes:
+        net = deploy_field(field, random.Random(4))
+        state = make_state(net, field.bs_position)
+        for n in net:
             if math.hypot(n.x - bx, n.y - by) == float(np.hypot(n.x - bx, n.y - by)):
-                n.drain(1.0)
-        alive = sum(n.alive for n in nodes)
+                net.e_res[n.id], net.alive[n.id] = 0.0, False
+        alive = sum(net.alive)
         assert alive >= 1
-        d_bs = representative_bs_distance(nodes, field.bs_position)
+        d_bs = representative_bs_distance(net, field.bs_position)
         expected = max_clusters(AnalysisInputs(
             radio, replace(field, node_count=alive), d_bs)).raw
         assert learning_update(state, radio, field) == expected
@@ -264,13 +276,22 @@ class TestLearningUpdate:
         field = FieldConfig(node_count=40, max_rounds=50)
         radio = RadioParams()
         bs = field.bs_position
-        nodes = self._ring_nodes(40, 30.0, bs)
-        state = make_state(nodes, bs)
+        state = make_state(self._ring_nodes(40, 30.0, bs), bs)
         full = learning_update(state, radio, field)
-        for n in nodes[::2]:
-            n.drain(1.0)
+        state.network.alive[::2] = False
         halved = learning_update(state, radio, field)
         assert halved == pytest.approx(full / math.sqrt(2), rel=1e-12)
+
+    def test_mean_adds_left_to_right(self):
+        # A compensated (Python >= 3.12 sum()) or pairwise (np.sum) mean of
+        # these distances differs from 1/11 in the last bits.
+        from wsnsim.analysis import AnalysisInputs, max_clusters
+        field = FieldConfig(node_count=11, max_rounds=5)
+        radio = RadioParams()
+        state = make_state(self._ring_nodes(11, 10.0, field.bs_position), field.bs_position)
+        state.bs_dist_mean = np.array([1.0] + [1e-16] * 10)
+        expected = max_clusters(AnalysisInputs(radio, field, 1.0 / 11)).raw
+        assert learning_update(state, radio, field) == expected
 
     def test_learning_run_shrinks_budget_as_nodes_die(self):
         field = FieldConfig(node_count=40, max_rounds=1500, initial_energy=0.05)
@@ -281,10 +302,8 @@ class TestLearningUpdate:
 
     def test_no_alive_nodes_rejected(self):
         field = FieldConfig(node_count=4, max_rounds=5)
-        nodes = self._ring_nodes(4, 10.0, field.bs_position)
-        state = make_state(nodes, field.bs_position)
-        for n in nodes:
-            n.drain(1.0)
+        state = make_state(self._ring_nodes(4, 10.0, field.bs_position), field.bs_position)
+        state.network.alive[:] = False
         with pytest.raises(ValueError):
             learning_update(state, RadioParams(), field)
 
