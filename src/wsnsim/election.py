@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat, starmap
 
 import numpy as np
 
@@ -125,8 +126,8 @@ def elect_cluster_heads(network: Network, policy: ElectionPolicy, round_no: int,
     shrinking it as the network drains.
     """
     tier_probs = policy.tier_probabilities(p_adp)
-    ids = np.flatnonzero(network.alive & network.eligible)
-    draws = [rng.random() for _ in range(ids.size)]
+    ids = (network.alive & network.eligible).nonzero()[0]
+    draws = np.fromiter(starmap(rng.random, repeat((), ids.size)), float, ids.size)
     # The rotating threshold depends only on the tier's p and the round.
     thr = np.where(network.advanced[ids], leach_threshold(tier_probs[ADVANCED], round_no, True),
                    leach_threshold(tier_probs[NORMAL], round_no, True))
@@ -137,7 +138,7 @@ def elect_cluster_heads(network: Network, policy: ElectionPolicy, round_no: int,
             alive = network.alive
             thr = np.minimum(1.0, thr / (ordered_sum(fraction[alive])
                                          / int(np.count_nonzero(alive))))
-    candidates = ids[np.array(draws) < thr]
+    candidates = ids[draws < thr]
     before_cap = candidates.size
     if policy.cap is not None and before_cap > policy.cap:
         best = np.lexsort((candidates, -network.e_res[candidates]))[:policy.cap]

@@ -84,7 +84,7 @@ def assign_members(network: Network, heads, policy: JoinPolicy) -> ClusterAssign
     head_ids = np.sort(np.asarray(heads, dtype=np.intp))
     joining = network.alive.copy()
     joining[head_ids] = False
-    member_ids = np.flatnonzero(joining)
+    member_ids = joining.nonzero()[0]
     if not (head_ids.size and member_ids.size):   # without heads all go direct to the BS
         none = member_ids[:0]
         return ClusterAssignment(none, none, np.empty(0), none if head_ids.size else member_ids)

@@ -126,7 +126,7 @@ class Network:
 def ordered_sum(values: np.ndarray) -> float:
     """Left-to-right float sum, alike on every Python and numpy: np.sum adds
     pairwise, and the builtin sum() is compensated from Python 3.12."""
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
 def distance_threshold(params: RadioParams) -> float:
@@ -150,9 +150,10 @@ def tx_energies(params: RadioParams, bits: int, distances: np.ndarray) -> np.nda
     points). The powers are Python's `**`: numpy's d*d and np.power differ
     from it in some last bits."""
     far = distances > params._crossover
-    powers = list(map(pow, distances.tolist(), np.where(far, 4.0, 2.0).tolist()))
+    powers = np.fromiter(map(pow, distances.tolist(), np.where(far, 4.0, 2.0).tolist()),
+                         float, distances.size)
     amp = np.where(far, bits * params.mp_amp, bits * params.fs_amp)
-    return bits * params.elec_energy_per_bit + amp * np.array(powers)
+    return bits * params.elec_energy_per_bit + amp * powers
 
 
 def rx_energy(params: RadioParams, bits: int) -> float:
