@@ -146,11 +146,12 @@ class TestMain:
         assert f"line 2: key '{key}': {value} given more than once" in err
         assert not (tmp_path / "out").exists()
 
-    def test_module_entry_point(self):
+    @pytest.mark.parametrize("module", ["wsnsim", "wsnsim.cli"])
+    def test_module_entry_point(self, module):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-m", "wsnsim", "--list-algorithms"],
+        out = subprocess.run([sys.executable, "-m", module, "--list-algorithms"],
                              env=env, capture_output=True, text=True, timeout=60)
         assert out.returncode == EXIT_OK
         assert out.stdout.split() == algorithm_names()
