@@ -5,32 +5,11 @@ cluster-heads per round, weight election by residual energy, adapt the
 election probability to the surviving population, and pick cluster-heads by
 an energy-distance ratio.
 """
-from .analysis import (AnalysisInputs, ClusterBudget, adaptive_probability,
-                       max_clusters, optimal_distance,
-                       representative_bs_distance, total_energy)
-from .election import (ElectionOutcome, ElectionPolicy, elect_cluster_heads,
-                       energy_threshold, leach_threshold, refresh_epoch,
-                       sep_probabilities)
-from .membership import (ClusterAssignment, JoinPolicy, assign_members,
-                         energy_distance_ratio)
-from .model import (FieldConfig, Network, RadioParams, aggregation_energy,
-                    deploy_field, distance_threshold, rx_energy, tx_energy)
-from .reporting import (SimulationSummary, stability_metrics, write_round_csv,
-                        write_summary_json)
-from .simulator import (AlgorithmSpec, RoundRecord, SimulationState, algorithm,
-                        algorithm_names, learning_update, run_round,
-                        run_simulation)
+from .model import FieldConfig, RadioParams
+from .reporting import SimulationSummary, write_round_csv, write_summary_json
+from .simulator import RoundRecord, algorithm_names, run_simulation
 
 __all__ = [
-    "AnalysisInputs", "ClusterBudget", "adaptive_probability", "max_clusters",
-    "optimal_distance", "representative_bs_distance", "total_energy",
-    "ElectionOutcome", "ElectionPolicy", "elect_cluster_heads",
-    "energy_threshold", "leach_threshold", "refresh_epoch", "sep_probabilities",
-    "ClusterAssignment", "JoinPolicy", "assign_members", "energy_distance_ratio",
-    "FieldConfig", "Network", "RadioParams", "aggregation_energy", "deploy_field",
-    "distance_threshold", "rx_energy", "tx_energy",
-    "SimulationSummary", "stability_metrics", "write_round_csv",
-    "write_summary_json",
-    "AlgorithmSpec", "RoundRecord", "SimulationState", "algorithm",
-    "algorithm_names", "learning_update", "run_round", "run_simulation",
+    "FieldConfig", "RadioParams", "run_simulation", "algorithm_names",
+    "RoundRecord", "SimulationSummary", "write_round_csv", "write_summary_json",
 ]

@@ -7,25 +7,14 @@ sensible number of cluster-heads per round follows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FieldConfig, Network, RadioParams, ordered_sum
+from .model import RadioParams, ordered_sum
 
 
-@dataclass(frozen=True)
-class AnalysisInputs:
-    radio: RadioParams
-    field: FieldConfig
-    bs_distance: float  # representative head-to-BS distance, m
-
-    def __post_init__(self) -> None:
-        if self.bs_distance <= 0:
-            raise ValueError(f"bs_distance must be positive, got {self.bs_distance!r}")
-
-
-def total_energy(inputs: AnalysisInputs, d: float) -> float:
+def total_energy(radio: RadioParams, side_m: float, node_count: int,
+                 bs_distance: float, d: float) -> float:
     """Per-round network energy with cluster radius d.
 
     Electronics and aggregation terms are d-independent; the head-uplink term
@@ -33,40 +22,28 @@ def total_energy(inputs: AnalysisInputs, d: float) -> float:
     """
     if d <= 0:
         raise ValueError(f"d must be positive, got {d!r}")
-    r = inputs.radio
-    n = inputs.field.node_count
-    m_side = inputs.field.side_m
-    l = r.packet_bits
-    const = 2 * l * r.elec_energy_per_bit * n + l * r.aggregation_energy_per_bit * n
-    uplink = l * r.mp_amp * inputs.bs_distance ** 4 * m_side ** 2 / (2 * math.pi * d ** 2)
-    members = n * l * r.fs_amp * d ** 2
+    n = node_count
+    l = radio.packet_bits
+    const = 2 * l * radio.elec_energy_per_bit * n + l * radio.aggregation_energy_per_bit * n
+    uplink = l * radio.mp_amp * bs_distance ** 4 * side_m ** 2 / (2 * math.pi * d ** 2)
+    members = n * l * radio.fs_amp * d ** 2
     return const + uplink + members
 
 
-def optimal_distance(inputs: AnalysisInputs) -> float:
+def optimal_distance(radio: RadioParams, side_m: float, node_count: int,
+                     bs_distance: float) -> float:
     """Cluster radius minimizing total_energy (closed form)."""
-    r = inputs.radio
-    n = inputs.field.node_count
-    m_side = inputs.field.side_m
-    return (r.mp_amp * m_side ** 2 / (2 * math.pi * n * r.fs_amp)) ** 0.25 * inputs.bs_distance
+    if bs_distance <= 0:
+        raise ValueError(f"bs_distance must be positive, got {bs_distance!r}")
+    return ((radio.mp_amp * side_m ** 2 / (2 * math.pi * node_count * radio.fs_amp)) ** 0.25
+            * bs_distance)
 
 
-@dataclass(frozen=True)
-class ClusterBudget:
-    """Maximum heads per round: raw real value, plus the integer cap."""
-
-    raw: float
-    rounded: int
-
-
-def max_clusters(inputs: AnalysisInputs) -> ClusterBudget:
-    """Maximum number of cluster-heads permitted per round.
-
-    raw = M^2 / (2*pi*d_opt^2); the cap rounds half-up with a floor of 1.
-    """
-    d_opt = optimal_distance(inputs)
-    raw = inputs.field.side_m ** 2 / (2 * math.pi * d_opt ** 2)
-    return ClusterBudget(raw=raw, rounded=max(1, int(math.floor(raw + 0.5))))
+def max_clusters(radio: RadioParams, side_m: float, node_count: int,
+                 bs_distance: float) -> float:
+    """Maximum number of cluster-heads per round, kappa = M^2 / (2*pi*d_opt^2)."""
+    d_opt = optimal_distance(radio, side_m, node_count, bs_distance)
+    return side_m ** 2 / (2 * math.pi * d_opt ** 2)
 
 
 def adaptive_probability(kappa_max: float, alive_count: int) -> float:
@@ -78,15 +55,10 @@ def adaptive_probability(kappa_max: float, alive_count: int) -> float:
     return min(1.0, kappa_max / alive_count)
 
 
-def bs_distances(xy: np.ndarray, bs: tuple[float, float]) -> np.ndarray:
-    """math.hypot distance to the base station of each column of the (2, N) `xy`."""
-    return np.array(list(map(math.hypot, (xy[0] - bs[0]).tolist(),
-                             (xy[1] - bs[1]).tolist())))
-
-
-def representative_bs_distance(network: Network, bs: tuple[float, float]) -> float:
-    """Mean Euclidean distance from alive nodes to the base station."""
-    alive = int(np.count_nonzero(network.alive))
-    if not alive:
+def representative_bs_distance(bs_dist: np.ndarray, alive: np.ndarray) -> float:
+    """Mean distance to the base station of the `alive` nodes, added left to
+    right in id order; `bs_dist` holds every node's distance."""
+    count = int(np.count_nonzero(alive))
+    if not count:
         raise ValueError("no alive nodes")
-    return ordered_sum(bs_distances(network.xy[:, network.alive], bs)) / alive
+    return ordered_sum(bs_dist[alive]) / count

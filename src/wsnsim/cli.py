@@ -172,9 +172,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.algorithms = _unique([a.lower() for a in args.algorithm], "--algorithm")
         if args.seed:
             cfg.seeds = _unique(list(args.seed), "--seed")
-        if args.rounds is not None:
-            if args.rounds < 0:
-                raise ConfigError(f"--rounds must be >= 0, got {args.rounds}")
+        if args.rounds is not None:   # FieldConfig rejects a negative count
             cfg.field = replace(cfg.field, max_rounds=args.rounds)
         if args.output_dir is not None:
             cfg.output_dir = args.output_dir

@@ -25,26 +25,12 @@ def epoch_length(p: float) -> int:
     return max(1, round_half_up(1.0 / p))
 
 
-def leach_threshold(p: float, round_no: int, eligible: bool) -> float:
+def leach_threshold(p: float, round_no: int) -> float:
     """Rotating self-election threshold; rises toward 1 at the epoch's end."""
     if not 0 < p <= 1:
         raise ValueError(f"p must be in (0, 1], got {p!r}")
-    if not eligible:
-        return 0.0
-    denom = 1.0 - p * (round_no % epoch_length(p))
-    if denom <= 0:
-        return 1.0
-    return min(1.0, p / denom)
-
-
-def energy_threshold(p: float, round_no: int, eligible: bool,
-                     e_res: float, e_init: float) -> float:
-    """Self-election threshold scaled by the node's residual-energy fraction."""
-    if e_init <= 0:
-        raise ValueError(f"e_init must be positive, got {e_init!r}")
-    if not 0 <= e_res <= e_init:
-        raise ValueError(f"e_res must be in [0, e_init], got {e_res!r}")
-    return leach_threshold(p, round_no, eligible) * (e_res / e_init)
+    # The epoch has round(1/p) slots, so the denominator stays >= p/2.
+    return min(1.0, p / (1.0 - p * (round_no % epoch_length(p))))
 
 
 def sep_probabilities(p: float, a: float, m_frac: float) -> tuple[float, float]:
@@ -129,11 +115,11 @@ def elect_cluster_heads(network: Network, policy: ElectionPolicy, round_no: int,
     ids = (network.alive & network.eligible).nonzero()[0]
     draws = np.fromiter(starmap(rng.random, repeat((), ids.size)), float, ids.size)
     # The rotating threshold depends only on the tier's p and the round.
-    thr = np.where(network.advanced[ids], leach_threshold(tier_probs[ADVANCED], round_no, True),
-                   leach_threshold(tier_probs[NORMAL], round_no, True))
-    if policy.threshold_kind == ENERGY_WEIGHTED:
+    thr = np.where(network.advanced[ids], leach_threshold(tier_probs[ADVANCED], round_no),
+                   leach_threshold(tier_probs[NORMAL], round_no))
+    if policy.threshold_kind == ENERGY_WEIGHTED:   # scaled by the residual-energy fraction
         fraction = network.e_res / network.e0
-        thr = thr * fraction[ids]   # energy_threshold, elementwise
+        thr = thr * fraction[ids]
         if policy.adaptive and ids.size:   # divided by the alive-mean fraction
             alive = network.alive
             thr = np.minimum(1.0, thr / (ordered_sum(fraction[alive])

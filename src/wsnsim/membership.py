@@ -65,15 +65,6 @@ class ClusterAssignment:
             for k in ("member_ids", "head_ids", "distances", "unassigned_ids"))
 
 
-def energy_distance_ratio(e_res: float, distance: float,
-                          alpha: float, beta: float) -> float:
-    """Attraction of a head with residual energy e_res at the given distance."""
-    if e_res < 0:
-        raise ValueError(f"e_res must be >= 0, got {e_res!r}")
-    distance = max(distance, _DISTANCE_FLOOR)
-    return e_res ** alpha / distance ** beta
-
-
 def assign_members(network: Network, heads, policy: JoinPolicy) -> ClusterAssignment:
     """Assign every alive non-head node to a head per the join policy.
 

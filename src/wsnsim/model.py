@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -17,6 +18,11 @@ def round_half_up(x: float) -> int:
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _require_int(name: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +47,7 @@ class RadioParams:
             _require_finite(name, value)
             if value <= 0:
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if self.packet_bits <= 0:
-            raise ValueError(f"packet_bits must be strictly positive, got {self.packet_bits!r}")
+        _require_int("packet_bits", self.packet_bits, 1)
         if not self.fs_amp > self.mp_amp:
             raise ValueError("fs_amp must exceed mp_amp for a crossover distance > 1 m")
         # Not a field: repr, equality and hashing see only the parameters.
@@ -68,10 +73,10 @@ class FieldConfig:
             _require_finite(name, getattr(self, name))
         for axis, value in zip("xy", self.bs_position):
             _require_finite(f"bs_position {axis}", value)
+        _require_int("node_count", self.node_count, 1)
+        _require_int("max_rounds", self.max_rounds, 0)
         if self.side_m <= 0:
             raise ValueError(f"side_m must be positive, got {self.side_m!r}")
-        if self.node_count <= 0:
-            raise ValueError(f"node_count must be positive, got {self.node_count!r}")
         if not 0 < self.base_probability <= 1:
             raise ValueError(
                 f"base_probability must be in (0, 1], got {self.base_probability!r}")
@@ -83,8 +88,6 @@ class FieldConfig:
                 f"advanced_energy_factor must be >= 0, got {self.advanced_energy_factor!r}")
         if self.initial_energy <= 0:
             raise ValueError(f"initial_energy must be positive, got {self.initial_energy!r}")
-        if self.max_rounds < 0:
-            raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds!r}")
         bx, by = self.bs_position
         if not (0 <= bx <= self.side_m and 0 <= by <= self.side_m):
             raise ValueError(f"bs_position {self.bs_position!r} outside the field square")
@@ -127,11 +130,6 @@ def ordered_sum(values: np.ndarray) -> float:
     """Left-to-right float sum, alike on every Python and numpy: np.sum adds
     pairwise, and the builtin sum() is compensated from Python 3.12."""
     return float(np.add.accumulate(values)[-1]) if values.size else 0.0
-
-
-def distance_threshold(params: RadioParams) -> float:
-    """Crossover distance between the free-space and multipath branches."""
-    return params._crossover
 
 
 def tx_energy(params: RadioParams, bits: int, distance: float) -> float:

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import reporting
-from .analysis import (AnalysisInputs, adaptive_probability, bs_distances,
-                       max_clusters, representative_bs_distance)
+from .analysis import adaptive_probability, max_clusters, representative_bs_distance
 from .election import (ENERGY_WEIGHTED, PLAIN, ElectionPolicy,
                        elect_cluster_heads, refresh_epoch)
 from .membership import ENERGY_DISTANCE, NEAREST, JoinPolicy, assign_members
@@ -96,20 +95,18 @@ class SimulationState:
     round: int
     kappa_max_raw: float
     p_effective: float
-    uplink: np.ndarray            # each node's cost of one packet to the BS, J
-    bs_dist_mean: np.ndarray      # node-to-BS distances by math.hypot, for the learning mean
+    bs_dist: np.ndarray           # each node's np.hypot distance to the BS, m
+    uplink: np.ndarray            # each node's cost of one packet over bs_dist, J
     policy: ElectionPolicy | None = None   # built from kappa_max_raw when None
     cumulative_consumed: float = 0.0
-    initial_total: float = 0.0
 
 
 def _geometry_caches(network: Network, bs: tuple[float, float],
                      radio: RadioParams) -> tuple[np.ndarray, np.ndarray]:
-    """Set-up: each node's uplink cost at its np.hypot distance to the BS,
-    and its math.hypot distance for the learning mean (they differ in some
-    last bits, and each result follows its own)."""
+    """Set-up: each node's np.hypot distance to the BS, which both the uplink
+    costs and the kappa mean read, and its cost of one packet over it."""
     dist = np.hypot(network.xy[0] - bs[0], network.xy[1] - bs[1])
-    return tx_energies(radio, radio.packet_bits, dist), bs_distances(network.xy, bs)
+    return dist, tx_energies(radio, radio.packet_bits, dist)
 
 
 def _election_policy(algo: AlgorithmSpec, field: FieldConfig,
@@ -133,18 +130,12 @@ def learning_update(state: SimulationState, radio: RadioParams,
     place of the total node count and the mean alive-node-to-BS distance as
     the representative uplink distance. Before any death these are exactly
     the a-priori inputs, so the budget is a fixed point until the first death.
-    The mean adds set-up distances in id order, as representative_bs_distance does.
     """
     alive = state.network.alive
-    count = int(np.count_nonzero(alive))
-    if not count:
-        raise ValueError("no alive nodes")
-    d_bs = ordered_sum(state.bs_dist_mean[alive]) / count
+    d_bs = representative_bs_distance(state.bs_dist, alive)
     if d_bs <= 0:
         return state.kappa_max_raw
-    inputs = AnalysisInputs(radio=radio, field=replace(field, node_count=count),
-                            bs_distance=d_bs)
-    return max_clusters(inputs).raw
+    return max_clusters(radio, field.side_m, int(np.count_nonzero(alive)), d_bs)
 
 
 def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
@@ -215,16 +206,12 @@ def run_simulation(field: FieldConfig, radio: RadioParams,
         algo = algorithm(algo)
     rng = random.Random(seed)
     network = deploy_field(field, rng)
-    uplink, bs_dist_mean = _geometry_caches(network, field.bs_position, radio)
-    d_bs0 = representative_bs_distance(network, field.bs_position)
-    if d_bs0 <= 0:
-        raise ValueError("all nodes co-located with the base station; "
-                         "cluster budget undefined")
-    budget = max_clusters(AnalysisInputs(radio=radio, field=field, bs_distance=d_bs0))
-    state = SimulationState(network=network, round=0, kappa_max_raw=budget.raw,
-                            p_effective=field.base_probability, uplink=uplink,
-                            bs_dist_mean=bs_dist_mean,
-                            initial_total=ordered_sum(network.e0))
+    bs_dist, uplink = _geometry_caches(network, field.bs_position, radio)
+    kappa = max_clusters(radio, field.side_m, field.node_count,
+                         representative_bs_distance(bs_dist, network.alive))
+    state = SimulationState(network=network, round=0, kappa_max_raw=kappa,
+                            p_effective=field.base_probability, bs_dist=bs_dist,
+                            uplink=uplink)
 
     series: list[RoundRecord] = []
     consumed_series: list[float] = []
@@ -241,5 +228,5 @@ def run_simulation(field: FieldConfig, radio: RadioParams,
         rounds_executed=len(series), series=series,
         metadata={"rng_algorithm": RNG_ALGORITHM,
                   "config_hash": _config_hash(field, radio)},
-        initial_energy_total=state.initial_total,
+        initial_energy_total=ordered_sum(network.e0),
         consumed_series=consumed_series)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 
-from wsnsim.analysis import AnalysisInputs, total_energy
+from wsnsim.analysis import total_energy
+from wsnsim.model import RadioParams
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -27,11 +28,13 @@ def golden_section_minimize(f, lo: float, hi: float, iterations: int = 200) -> f
     return (a + b) / 2.0
 
 
-def argmin_total_energy(inputs: AnalysisInputs, lo: float = 1e-3,
-                        hi: float | None = None, iterations: int = 200) -> float:
+def argmin_total_energy(radio: RadioParams, side_m: float, node_count: int,
+                        bs_distance: float, lo: float = 1e-3, hi: float | None = None,
+                        iterations: int = 200) -> float:
     """Numerical argmin of total_energy over d, searched in log space."""
     if hi is None:
-        hi = math.sqrt(2.0) * inputs.field.side_m
-    t = golden_section_minimize(lambda u: total_energy(inputs, math.exp(u)),
-                                math.log(lo), math.log(hi), iterations)
+        hi = math.sqrt(2.0) * side_m
+    t = golden_section_minimize(
+        lambda u: total_energy(radio, side_m, node_count, bs_distance, math.exp(u)),
+        math.log(lo), math.log(hi), iterations)
     return math.exp(t)

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from wsnsim import reporting
-from wsnsim.analysis import AnalysisInputs, adaptive_probability, max_clusters
+from wsnsim.analysis import adaptive_probability, max_clusters
 from wsnsim.election import ENERGY_WEIGHTED, ElectionPolicy, epoch_length, leach_threshold
 from wsnsim.membership import NEAREST
 from wsnsim.model import ADVANCED, NORMAL, FieldConfig, Network, RadioParams, round_half_up
@@ -102,7 +102,7 @@ def representative_bs_distance(nodes: list[Node], bs: tuple[float, float]) -> fl
     alive = [n for n in nodes if n.alive]
     if not alive:
         raise ValueError("no alive nodes")
-    return ordered_sum(n.distance_to(*bs) for n in alive) / len(alive)
+    return ordered_sum(float(np.hypot(n.x - bs[0], n.y - bs[1])) for n in alive) / len(alive)
 
 
 def refresh_epoch(nodes: list[Node], tier_probs: dict[str, float], round_no: int) -> None:
@@ -116,7 +116,7 @@ def refresh_epoch(nodes: list[Node], tier_probs: dict[str, float], round_no: int
 def elect_cluster_heads(nodes: list[Node], policy: ElectionPolicy, round_no: int,
                         p_adp: float | None, rng: random.Random) -> list[int]:
     tier_probs = policy.tier_probabilities(p_adp)
-    tier_thresholds = {tier: leach_threshold(p, round_no, True)
+    tier_thresholds = {tier: leach_threshold(p, round_no)
                        for tier, p in tier_probs.items()}
     energy_weighted = policy.threshold_kind == ENERGY_WEIGHTED
     mean_fraction = 1.0
@@ -188,7 +188,7 @@ def learning_update(state: State, radio: RadioParams, field: FieldConfig,
     d_bs = representative_bs_distance(state.nodes, bs)
     if d_bs <= 0:
         return state.kappa_max_raw
-    return max_clusters(AnalysisInputs(radio, replace(field, node_count=alive), d_bs)).raw
+    return max_clusters(radio, field.side_m, alive, d_bs)
 
 
 def run_round(state: State, algo: AlgorithmSpec, radio: RadioParams,
@@ -243,11 +243,8 @@ def run_simulation(field: FieldConfig, radio: RadioParams,
     rng = random.Random(seed)
     nodes = deploy_field(field, rng)
     d_bs0 = representative_bs_distance(nodes, field.bs_position)
-    if d_bs0 <= 0:
-        raise ValueError("all nodes co-located with the base station; "
-                         "cluster budget undefined")
-    budget = max_clusters(AnalysisInputs(radio=radio, field=field, bs_distance=d_bs0))
-    state = State(nodes=nodes, round=0, kappa_max_raw=budget.raw,
+    kappa = max_clusters(radio, field.side_m, field.node_count, d_bs0)
+    state = State(nodes=nodes, round=0, kappa_max_raw=kappa,
                   p_effective=field.base_probability)
     series: list[RoundRecord] = []
     consumed_series: list[float] = []

@@ -16,13 +16,12 @@ import pytest
 
 from numerics import argmin_total_energy
 from reference_engine import Node, network_of
-from wsnsim import (AnalysisInputs, ElectionPolicy, FieldConfig, JoinPolicy,
-                    RadioParams, algorithm, algorithm_names,
-                    assign_members, elect_cluster_heads, max_clusters,
-                    optimal_distance, run_simulation)
+from wsnsim import FieldConfig, RadioParams, algorithm_names, run_simulation
+from wsnsim.analysis import max_clusters, optimal_distance
 from wsnsim.cli import main
-from wsnsim.election import ENERGY_WEIGHTED, PLAIN
-from wsnsim.membership import ENERGY_DISTANCE, NEAREST
+from wsnsim.election import ENERGY_WEIGHTED, PLAIN, ElectionPolicy, elect_cluster_heads
+from wsnsim.membership import ENERGY_DISTANCE, NEAREST, JoinPolicy, assign_members
+from wsnsim.simulator import algorithm
 from wsnsim.model import round_half_up
 
 SEEDS = list(range(30))
@@ -94,8 +93,7 @@ def _random_inputs(rng):
     side = rng.uniform(20.0, 500.0)
     field = FieldConfig(side_m=side, node_count=rng.randrange(10, 1000),
                         bs_position=(side / 2, side / 2))
-    return AnalysisInputs(radio=radio, field=field,
-                          bs_distance=rng.uniform(1.0, side))
+    return radio, field.side_m, field.node_count, rng.uniform(1.0, side)
 
 
 def test_criterion_1_analytical_identities():
@@ -104,11 +102,11 @@ def test_criterion_1_analytical_identities():
     worst_argmin = worst_identity = 0.0
     for _ in range(100):
         inputs = _random_inputs(rng)
-        closed = optimal_distance(inputs)
-        numeric = argmin_total_energy(inputs)
+        closed = optimal_distance(*inputs)
+        numeric = argmin_total_energy(*inputs)
         worst_argmin = max(worst_argmin, abs(numeric - closed) / closed)
-        raw = max_clusters(inputs).raw
-        m_sq = inputs.field.side_m ** 2
+        raw = max_clusters(*inputs)
+        m_sq = inputs[1] ** 2
         worst_identity = max(
             worst_identity, abs(raw * 2 * math.pi * closed ** 2 - m_sq) / m_sq)
     elapsed = time.perf_counter() - t0

@@ -156,6 +156,27 @@ class TestMain:
         assert out.returncode == EXIT_OK
         assert out.stdout.split() == algorithm_names()
 
+    def test_outputs_independent_of_hash_seed(self, tmp_path):
+        # A set or dict iterated in hash order anywhere on the output path
+        # would make the bytes depend on the interpreter's string hashing.
+        cfg = write_cfg(tmp_path, "nodes = 40\ninitial_energy = 0.02\nmax_rounds = 150\n"
+                                  "algorithms = leach, sep-kep, leach-kef-1-2-p, "
+                                  "sep-kef-1-1-p-learning\nseeds = 1, 2\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("0", "4242"):
+            out = tmp_path / f"hash-{hash_seed}"
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            run = subprocess.run([sys.executable, "-m", "wsnsim", "--config", str(cfg),
+                                  "--output-dir", str(out)],
+                                 env=env, capture_output=True, text=True, timeout=120)
+            assert run.returncode == EXIT_OK, run.stderr
+            outputs.append({p.relative_to(out): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(outputs[0]) == 4 * 2 + 1   # a CSV per run, and summary.json
+        assert outputs[0] == outputs[1]
+
     def test_negative_rounds_rejected(self, tmp_path):
         rc = main(["--algorithm", "leach", "--rounds", "-1",
                    "--output-dir", str(tmp_path)])

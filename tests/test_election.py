@@ -4,9 +4,9 @@ import statistics
 import pytest
 
 from reference_engine import Node, network_of
-from wsnsim import (ElectionPolicy, elect_cluster_heads, energy_threshold,
-                    leach_threshold, refresh_epoch, sep_probabilities)
-from wsnsim.election import ENERGY_WEIGHTED, epoch_length
+from wsnsim.election import (ENERGY_WEIGHTED, ElectionPolicy, elect_cluster_heads,
+                             epoch_length, leach_threshold, refresh_epoch,
+                             sep_probabilities)
 
 
 def make_nodes(count, energy=0.5, tier="normal"):
@@ -20,19 +20,15 @@ def make_network(count, energy=0.5, tier="normal"):
 
 class TestLeachThreshold:
     def test_epoch_start(self):
-        assert leach_threshold(0.1, 0, True) == pytest.approx(0.1)
+        assert leach_threshold(0.1, 0) == pytest.approx(0.1)
 
     def test_last_slot_forces_election(self):
-        assert leach_threshold(0.1, 9, True) == pytest.approx(1.0)
-
-    def test_ineligible_is_zero(self):
-        for r in range(20):
-            assert leach_threshold(0.1, r, False) == 0.0
+        assert leach_threshold(0.1, 9) == pytest.approx(1.0)
 
     def test_range_and_growth_within_epoch(self):
         prev = 0.0
         for r in range(10):
-            t = leach_threshold(0.1, r, True)
+            t = leach_threshold(0.1, r)
             assert 0.1 <= t <= 1.0
             assert t >= prev
             prev = t
@@ -42,30 +38,46 @@ class TestLeachThreshold:
         for _ in range(500):
             p = rng.uniform(1e-3, 1.0)
             r = rng.randrange(0, 5000)
-            assert 0.0 <= leach_threshold(p, r, True) <= 1.0
+            assert 0.0 <= leach_threshold(p, r) <= 1.0
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
-            leach_threshold(0.0, 0, True)
+            leach_threshold(0.0, 0)
         with pytest.raises(ValueError):
-            leach_threshold(1.5, 0, True)
+            leach_threshold(1.5, 0)
 
 
 class TestEnergyThreshold:
+    """An energy-weighted election scales each candidate's threshold by its
+    residual-energy fraction."""
+
     def test_full_energy_equals_plain(self):
+        weighted = ElectionPolicy(threshold_kind=ENERGY_WEIGHTED)
         for r in range(10):
-            assert energy_threshold(0.1, r, True, 0.5, 0.5) == \
-                leach_threshold(0.1, r, True)
+            plain = elect_cluster_heads(make_network(50), ElectionPolicy(), r, None,
+                                        random.Random(r))
+            assert plain.heads
+            assert elect_cluster_heads(make_network(50), weighted, r, None,
+                                       random.Random(r)) == plain
 
     def test_dead_node_zero(self):
-        assert energy_threshold(0.1, 3, True, 0.0, 0.5) == 0.0
+        # In the epoch's last slot the plain threshold is 1, so every
+        # candidate is elected but the one with no residual energy.
+        net = make_network(5)
+        net.e_res[2] = 0.0
+        policy = ElectionPolicy(threshold_kind=ENERGY_WEIGHTED)
+        assert elect_cluster_heads(net, policy, 9, None, random.Random(3)).heads == [0, 1, 3, 4]
 
     def test_half_energy(self):
-        assert energy_threshold(0.1, 0, True, 0.25, 0.5) == pytest.approx(0.05)
-
-    def test_rejects_energy_above_initial(self):
-        with pytest.raises(ValueError):
-            energy_threshold(0.1, 0, True, 0.6, 0.5)
+        # Threshold 0.1 * 0.5 at an epoch start: a node is elected exactly
+        # when its draw, taken in id order, is below 0.05.
+        net = make_network(200)
+        net.e_res[:] = 0.25
+        policy = ElectionPolicy(threshold_kind=ENERGY_WEIGHTED)
+        out = elect_cluster_heads(net, policy, 0, None, random.Random(11))
+        rng = random.Random(11)
+        expected = [i for i in range(200) if rng.random() < 0.05]
+        assert expected and out.heads == expected
 
 
 class TestSepProbabilities:
@@ -91,9 +103,10 @@ class TestSepProbabilities:
 
 class TestElectClusterHeads:
     def test_no_eligible_nodes_means_no_heads(self):
+        # Round 9 is the epoch's last slot, where an eligible node's threshold is 1.
         net = make_network(10)
         net.eligible[:] = False
-        out = elect_cluster_heads(net, ElectionPolicy(), 3, None, random.Random(1))
+        out = elect_cluster_heads(net, ElectionPolicy(), 9, None, random.Random(1))
         assert out.heads == []
         assert out.candidates_before_cap == 0
 

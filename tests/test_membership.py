@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from reference_engine import Node, full_table_assign, network_of
-from wsnsim import (ClusterAssignment, FieldConfig, JoinPolicy, assign_members,
-                    deploy_field, energy_distance_ratio)
-from wsnsim import membership
-from wsnsim.membership import ENERGY_DISTANCE, NEAREST
+from wsnsim import FieldConfig, membership
+from wsnsim.membership import (ENERGY_DISTANCE, NEAREST, ClusterAssignment, JoinPolicy,
+                               assign_members)
+from wsnsim.model import deploy_field
 
 
 def node(i, x, y, energy=0.5):
@@ -29,20 +29,27 @@ def random_instance(rng, n_nodes, n_heads, equal_energy=False):
 
 
 class TestEnergyDistanceRatio:
+    """The energy-distance join picks the head with the highest E_res^alpha / d^beta."""
+
     def test_reference_value(self):
-        assert energy_distance_ratio(0.5, 10.0, 1, 2) == pytest.approx(0.005)
+        # alpha 1, beta 2: head 1 (E 0.5 at d 10) scores 0.005, head 2 at
+        # d 5 scores 0.0048 with E 0.12 and 0.0052 with E 0.13.
+        policy = JoinPolicy(ENERGY_DISTANCE, alpha=1.0, beta=2.0)
+        for e2, joined in ((0.12, 1), (0.13, 2)):
+            nodes = [node(0, 0.0, 0.0), node(1, 10.0, 0.0, 0.5), node(2, 0.0, 5.0, e2)]
+            assert assign(nodes, [1, 2], policy).members == {0: joined}
 
     def test_dead_head_never_attracts(self):
-        assert energy_distance_ratio(0.0, 5.0, 1, 1) == 0.0
+        nodes = [node(0, 0.0, 0.0), node(1, 1.0, 0.0, 0.0), node(2, 50.0, 0.0, 0.1)]
+        assert assign(nodes, [1, 2], JoinPolicy(ENERGY_DISTANCE)).members == {0: 2}
 
     def test_homogeneity_in_distance(self):
-        r1 = energy_distance_ratio(0.7, 4.0, 1, 1)
-        r2 = energy_distance_ratio(0.7, 8.0, 1, 1)
-        assert r2 == pytest.approx(r1 / 2)
-
-    def test_negative_energy_rejected(self):
-        with pytest.raises(ValueError):
-            energy_distance_ratio(-0.1, 5.0, 1, 1)
+        # beta 1: twice the distance halves the score, so heads at d 4 (E 0.35)
+        # and d 8 (E 0.7) tie, and the tie goes to the lower id.
+        policy = JoinPolicy(ENERGY_DISTANCE, alpha=1.0, beta=1.0)
+        for e2, joined in ((0.7, 1), (0.7 * (1 + 1e-9), 2)):
+            nodes = [node(0, 0.0, 0.0), node(1, 4.0, 0.0, 0.35), node(2, 0.0, 8.0, e2)]
+            assert assign(nodes, [1, 2], policy).members == {0: joined}
 
 
 class TestJoinPolicyValidation:

@@ -6,11 +6,16 @@ import pytest
 
 import reference_engine
 from reference_engine import Node
-from wsnsim import (FieldConfig, RadioParams, aggregation_energy,
-                    deploy_field, distance_threshold, rx_energy, tx_energy)
-from wsnsim.model import ordered_sum, tx_energies
+from wsnsim import FieldConfig, RadioParams
+from wsnsim.model import (aggregation_energy, deploy_field, ordered_sum, rx_energy,
+                          tx_energies, tx_energy)
 
 NETWORK_ARRAYS = ("xy", "advanced", "e0", "e_res", "alive", "eligible")
+
+
+def crossover(radio):
+    """The free-space/multipath crossover distance sqrt(fs / mp), m."""
+    return math.sqrt(radio.fs_amp / radio.mp_amp)
 
 
 def same_network(a, b):
@@ -22,17 +27,17 @@ class TestTxEnergy:
         assert tx_energy(radio, 4000, 0.0) == pytest.approx(2.0e-6)
 
     def test_free_space_branch(self, radio):
-        assert 10.0 < distance_threshold(radio)
+        assert 10.0 < crossover(radio)
         expected = 2.0e-6 + 4000 * 10e-12 * 100  # elec + fs amp at d=10
         assert tx_energy(radio, 4000, 10.0) == pytest.approx(expected, rel=1e-12)
 
     def test_multipath_branch(self, radio):
-        assert 100.0 > distance_threshold(radio)
+        assert 100.0 > crossover(radio)
         expected = 2.0e-6 + 4000 * 0.0013e-12 * 100.0 ** 4
         assert tx_energy(radio, 4000, 100.0) == pytest.approx(expected, rel=1e-12)
 
     def test_branch_selection_is_a_hard_switch_at_d0(self, radio):
-        d0 = distance_threshold(radio)
+        d0 = crossover(radio)
         l = radio.packet_bits
         rng = random.Random(7)
         for _ in range(200):
@@ -44,7 +49,7 @@ class TestTxEnergy:
                 assert got == l * radio.elec_energy_per_bit + l * radio.mp_amp * d ** 4
 
     def test_continuous_at_crossover(self, radio):
-        d0 = distance_threshold(radio)
+        d0 = crossover(radio)
         eps = 1e-7
         gap = abs(tx_energy(radio, 4000, d0 + eps) - tx_energy(radio, 4000, d0 - eps))
         # O(eps): bounded by the multipath slope at d0 times the step width
@@ -100,7 +105,13 @@ class TestAggregationEnergy:
 
 class TestDistanceThreshold:
     def test_value(self, radio):
-        assert distance_threshold(radio) == pytest.approx(87.7, abs=0.05)
+        # tx_energy switches from the free-space to the multipath branch at 87.7 m.
+        assert crossover(radio) == pytest.approx(87.7, abs=0.05)
+        l = radio.packet_bits
+        assert tx_energy(radio, l, 87.65) == \
+            l * radio.elec_energy_per_bit + l * radio.fs_amp * 87.65 ** 2
+        assert tx_energy(radio, l, 87.75) == \
+            l * radio.elec_energy_per_bit + l * radio.mp_amp * 87.75 ** 4
 
     def test_equal_amplifiers_rejected_by_invariant(self):
         with pytest.raises(ValueError):
@@ -114,9 +125,12 @@ class TestRadioParamsValidation:
         {"aggregation_energy_per_bit": 0.0},
         {"packet_bits": 0},
         {"elec_energy_per_bit": float("nan")},
+        {"packet_bits": 4000.5},
+        {"packet_bits": 4000.0},
+        {"packet_bits": True},
     ])
     def test_rejects_bad_values(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{next(iter(kw))} must be"):
             RadioParams(**kw)
 
 
@@ -130,9 +144,15 @@ class TestFieldConfigValidation:
         {"bs_position": (150.0, 50.0)},
         {"node_count": 0},
         {"advanced_fraction": float("nan")},
+        {"node_count": 10.5},
+        {"node_count": 10.0},
+        {"node_count": True},
+        {"max_rounds": 2.5},
+        {"max_rounds": -1},
+        {"max_rounds": False},
     ])
     def test_rejects_bad_values(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{next(iter(kw))} "):
             FieldConfig(**kw)
 
     @pytest.mark.parametrize("name, kw", [

@@ -2,11 +2,9 @@ import json
 
 import pytest
 
-from wsnsim import (FieldConfig, RadioParams, SimulationSummary,
-                    stability_metrics, run_simulation, write_round_csv,
-                    write_summary_json)
-from wsnsim.reporting import CSV_HEADER, round_csv_text, summary_json_text
-from wsnsim.simulator import RoundRecord
+from wsnsim import (FieldConfig, RadioParams, RoundRecord, SimulationSummary,
+                    run_simulation, write_round_csv, write_summary_json)
+from wsnsim.reporting import CSV_HEADER, round_csv_text, stability_metrics, summary_json_text
 
 
 def rec(round_no, dead, alive=None, n=100):

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from reference_engine import Node, network_of
-from wsnsim import (FieldConfig, RadioParams, SimulationState, algorithm,
-                    algorithm_names, learning_update, run_round, run_simulation)
-from wsnsim import simulator
-from wsnsim.model import ordered_sum, round_half_up
+from wsnsim import FieldConfig, RadioParams, algorithm_names, run_simulation, simulator
+from wsnsim.analysis import max_clusters, representative_bs_distance
+from wsnsim.model import deploy_field, ordered_sum, round_half_up
 from wsnsim.reporting import round_csv_text, summary_json_text
-from wsnsim.simulator import _geometry_caches
+from wsnsim.simulator import (SimulationState, _geometry_caches, algorithm,
+                              learning_update, run_round)
 
 EXPECTED_NAMES = [
     "leach", "sep", "leach-kp", "leach-kep", "sep-kp", "sep-kep",
@@ -35,10 +35,9 @@ def small_field(**kw):
 def make_state(network, bs, kappa=10.0, p=0.1, radio=RadioParams()):
     if isinstance(network, list):
         network = network_of(network)
-    uplink, bs_dist_mean = _geometry_caches(network, bs, radio)
+    bs_dist, uplink = _geometry_caches(network, bs, radio)
     return SimulationState(network=network, round=0, kappa_max_raw=kappa,
-                           p_effective=p, uplink=uplink, bs_dist_mean=bs_dist_mean,
-                           initial_total=ordered_sum(network.e0))
+                           p_effective=p, bs_dist=bs_dist, uplink=uplink)
 
 
 class TestRegistry:
@@ -98,7 +97,6 @@ class TestRunRound:
     def test_round_level_energy_conservation(self, radio):
         field = small_field()
         rng = random.Random(3)
-        from wsnsim.model import deploy_field
         net = deploy_field(field, rng)
         state = make_state(net, field.bs_position, radio=radio)
         for _ in range(50):
@@ -108,7 +106,7 @@ class TestRunRound:
             after = sum(net.e_res)
             # summation-order noise only; well inside 1e-9 of total energy
             assert state.cumulative_consumed - consumed_before == \
-                pytest.approx(before - after, abs=1e-9 * state.initial_total)
+                pytest.approx(before - after, abs=1e-9 * ordered_sum(net.e0))
 
 
 class TestRunSimulation:
@@ -178,7 +176,6 @@ class TestRunSimulation:
         field = FieldConfig(node_count=30, max_rounds=800, initial_energy=0.03)
         radio = RadioParams()
         rng = random.Random(13)
-        from wsnsim.model import deploy_field
         net = deploy_field(field, rng)
         state = make_state(net, field.bs_position)
         last_head_round = {}
@@ -225,6 +222,16 @@ class TestRunSimulation:
         assert other.metadata["config_hash"] != s.metadata["config_hash"]
 
 
+def test_readme_library_snippet_runs(capsys):
+    # The README's Library example, run as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("## Library", 1)[1]
+    snippet = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(snippet, "README.md", "exec"), {})
+    first, half = capsys.readouterr().out.split()
+    assert 0 < int(first) <= int(half)
+
+
 class TestLearningUpdate:
     def _ring_nodes(self, count, radius, bs):
         nodes = []
@@ -239,38 +246,32 @@ class TestLearningUpdate:
         field = FieldConfig(node_count=40, max_rounds=50)
         radio = RadioParams()
         rng = random.Random(4)
-        from wsnsim.model import deploy_field
-        from wsnsim.analysis import (AnalysisInputs, max_clusters,
-                                     representative_bs_distance)
         net = deploy_field(field, rng)
-        d0 = representative_bs_distance(net, field.bs_position)
-        initial = max_clusters(AnalysisInputs(radio, field, d0)).raw
-        state = make_state(net, field.bs_position, kappa=initial)
+        state = make_state(net, field.bs_position)
+        d0 = representative_bs_distance(state.bs_dist, net.alive)
+        initial = max_clusters(radio, field.side_m, field.node_count, d0)
         updated = learning_update(state, radio, field)
         assert updated == initial
 
     def test_matches_representative_bs_distance_after_deaths(self):
-        # The set-up distances give exactly the budget that recomputing
-        # every alive node's math.hypot distance each round gave. The
-        # survivors are the nodes whose np.hypot distance differs from it.
-        from dataclasses import replace
-        from wsnsim.model import deploy_field
-        from wsnsim.analysis import (AnalysisInputs, max_clusters,
-                                     representative_bs_distance)
+        # The budget after deaths is the closed form at the survivors' count
+        # and at their np.hypot distances to the BS, added one by one in id
+        # order: bit for bit, independently of the engine's arrays.
         field = FieldConfig(node_count=60, max_rounds=50)
         radio = RadioParams()
         bx, by = field.bs_position
         net = deploy_field(field, random.Random(4))
         state = make_state(net, field.bs_position)
+        before = learning_update(state, radio, field)
+        net.alive[::3] = False
+        net.e_res[::3] = 0.0
+        total, alive = 0.0, 0
         for n in net:
-            if math.hypot(n.x - bx, n.y - by) == float(np.hypot(n.x - bx, n.y - by)):
-                net.e_res[n.id], net.alive[n.id] = 0.0, False
-        alive = sum(net.alive)
-        assert alive >= 1
-        d_bs = representative_bs_distance(net, field.bs_position)
-        expected = max_clusters(AnalysisInputs(
-            radio, replace(field, node_count=alive), d_bs)).raw
-        assert learning_update(state, radio, field) == expected
+            if n.alive:
+                total += float(np.hypot(n.x - bx, n.y - by))
+                alive += 1
+        expected = max_clusters(radio, field.side_m, alive, total / alive)
+        assert learning_update(state, radio, field) == expected != before
 
     def test_sqrt_scaling_when_half_die_on_a_ring(self):
         field = FieldConfig(node_count=40, max_rounds=50)
@@ -285,12 +286,11 @@ class TestLearningUpdate:
     def test_mean_adds_left_to_right(self):
         # A compensated (Python >= 3.12 sum()) or pairwise (np.sum) mean of
         # these distances differs from 1/11 in the last bits.
-        from wsnsim.analysis import AnalysisInputs, max_clusters
         field = FieldConfig(node_count=11, max_rounds=5)
         radio = RadioParams()
         state = make_state(self._ring_nodes(11, 10.0, field.bs_position), field.bs_position)
-        state.bs_dist_mean = np.array([1.0] + [1e-16] * 10)
-        expected = max_clusters(AnalysisInputs(radio, field, 1.0 / 11)).raw
+        state.bs_dist = np.array([1.0] + [1e-16] * 10)
+        expected = max_clusters(radio, field.side_m, 11, 1.0 / 11)
         assert learning_update(state, radio, field) == expected
 
     def test_learning_run_shrinks_budget_as_nodes_die(self):
