@@ -48,17 +48,10 @@ def max_clusters(radio: RadioParams, side_m: float, node_count: int,
 
 def adaptive_probability(kappa_max: float, alive_count: int) -> float:
     """Election probability for the next round: kappa_max over alive nodes, capped at 1."""
-    if kappa_max <= 0:
-        raise ValueError(f"kappa_max must be positive, got {kappa_max!r}")
-    if alive_count < 1:
-        raise ValueError(f"alive_count must be >= 1, got {alive_count!r}")
     return min(1.0, kappa_max / alive_count)
 
 
 def representative_bs_distance(bs_dist: np.ndarray, alive: np.ndarray) -> float:
     """Mean distance to the base station of the `alive` nodes, added left to
     right in id order; `bs_dist` holds every node's distance."""
-    count = int(np.count_nonzero(alive))
-    if not count:
-        raise ValueError("no alive nodes")
-    return ordered_sum(bs_dist[alive]) / count
+    return ordered_sum(bs_dist[alive]) / int(np.count_nonzero(alive))

@@ -35,12 +35,6 @@ class JoinPolicy:
     alpha: float = 1.0
     beta: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.kind not in (NEAREST, ENERGY_DISTANCE):
-            raise ValueError(f"unknown join kind {self.kind!r}")
-        if self.kind == ENERGY_DISTANCE and (self.alpha <= 0 or self.beta <= 0):
-            raise ValueError("energy_distance join needs alpha, beta > 0")
-
 
 @dataclass(frozen=True, eq=False)
 class ClusterAssignment:
@@ -58,11 +52,6 @@ class ClusterAssignment:
     @property
     def unassigned(self) -> list[int]:
         return self.unassigned_ids.tolist()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ClusterAssignment) and all(
-            np.array_equal(getattr(self, k), getattr(other, k))
-            for k in ("member_ids", "head_ids", "distances", "unassigned_ids"))
 
 
 def assign_members(network: Network, heads, policy: JoinPolicy) -> ClusterAssignment:

@@ -132,21 +132,11 @@ def ordered_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
-def tx_energy(params: RadioParams, bits: int, distance: float) -> float:
-    """Energy to transmit `bits` over `distance`; branch chosen by the crossover."""
-    if bits <= 0:
-        raise ValueError(f"bits must be positive, got {bits!r}")
-    _require_finite("distance", distance)
-    if distance < 0:
-        raise ValueError(f"distance must be >= 0, got {distance!r}")
-    return float(tx_energies(params, bits, np.array([float(distance)]))[0])
-
-
 def tx_energies(params: RadioParams, bits: int, distances: np.ndarray) -> np.ndarray:
-    """tx_energy of each distance, without argument checks (the round engine's
-    bits are RadioParams.packet_bits and its distances np.hypot of finite
-    points). The powers are Python's `**`: numpy's d*d and np.power differ
-    from it in some last bits."""
+    """Energy to transmit `bits` over each of `distances`: free-space (d^2) up
+    to the crossover distance sqrt(fs_amp / mp_amp), multipath (d^4) beyond.
+    The powers are Python's `**`: numpy's d*d and np.power differ from it in
+    some last bits."""
     far = distances > params._crossover
     powers = np.fromiter(map(pow, distances.tolist(), np.where(far, 4.0, 2.0).tolist()),
                          float, distances.size)
@@ -156,18 +146,12 @@ def tx_energies(params: RadioParams, bits: int, distances: np.ndarray) -> np.nda
 
 def rx_energy(params: RadioParams, bits: int) -> float:
     """Energy to receive `bits` (electronics only)."""
-    if bits <= 0:
-        raise ValueError(f"bits must be positive, got {bits!r}")
     return bits * params.elec_energy_per_bit
 
 
-def aggregation_energy(params: RadioParams, bits: int, signal_count: int) -> float:
-    """Energy for a head to aggregate `signal_count` packets of `bits` each."""
-    if bits <= 0:
-        raise ValueError(f"bits must be positive, got {bits!r}")
-    if signal_count < 1:
-        raise ValueError(f"signal_count must be >= 1, got {signal_count!r}")
-    return bits * params.aggregation_energy_per_bit * signal_count
+def aggregation_energy(params: RadioParams, bits: int) -> float:
+    """Energy for a head to aggregate one packet of `bits`."""
+    return bits * params.aggregation_energy_per_bit
 
 
 def deploy_field(config: FieldConfig, rng: random.Random) -> Network:

@@ -10,8 +10,8 @@ import numpy as np
 
 from . import reporting
 from .analysis import adaptive_probability, max_clusters, representative_bs_distance
-from .election import (ENERGY_WEIGHTED, PLAIN, ElectionPolicy,
-                       elect_cluster_heads, refresh_epoch)
+from .election import (ENERGY_WEIGHTED, PLAIN, elect_cluster_heads, refresh_epoch,
+                       tier_probabilities)
 from .membership import ENERGY_DISTANCE, NEAREST, JoinPolicy, assign_members
 from .model import (FieldConfig, Network, RadioParams, aggregation_energy,
                     deploy_field, ordered_sum, round_half_up, rx_energy,
@@ -97,7 +97,6 @@ class SimulationState:
     p_effective: float
     bs_dist: np.ndarray           # each node's np.hypot distance to the BS, m
     uplink: np.ndarray            # each node's cost of one packet over bs_dist, J
-    policy: ElectionPolicy | None = None   # built from kappa_max_raw when None
     cumulative_consumed: float = 0.0
 
 
@@ -107,19 +106,6 @@ def _geometry_caches(network: Network, bs: tuple[float, float],
     costs and the kappa mean read, and its cost of one packet over it."""
     dist = np.hypot(network.xy[0] - bs[0], network.xy[1] - bs[1])
     return dist, tx_energies(radio, radio.packet_bits, dist)
-
-
-def _election_policy(algo: AlgorithmSpec, field: FieldConfig,
-                     kappa_raw: float) -> ElectionPolicy:
-    cap = max(1, round_half_up(kappa_raw)) if algo.capped else None
-    sep_params = None
-    if algo.base == SEP:
-        sep_params = (field.advanced_energy_factor, field.advanced_fraction)
-    return ElectionPolicy(threshold_kind=algo.threshold_kind,
-                          base_probability=field.base_probability,
-                          sep_params=sep_params,
-                          adaptive=algo.adaptive_p,
-                          cap=cap)
 
 
 def learning_update(state: SimulationState, radio: RadioParams,
@@ -151,17 +137,20 @@ def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
     cluster budget are recomputed last for the next round.
     """
     net = state.network
-    if state.policy is None:
-        state.policy = _election_policy(algo, field, state.kappa_max_raw)
-    p_adp = state.p_effective if algo.adaptive_p else None
-    refresh_epoch(net, state.policy.tier_probabilities(p_adp), state.round)
-    outcome = elect_cluster_heads(net, state.policy, state.round, p_adp, rng)
-    heads = np.array(outcome.heads, dtype=np.intp)
+    sep_params = ((field.advanced_energy_factor, field.advanced_fraction)
+                  if algo.base == SEP else None)
+    tier_probs = tier_probabilities(field.base_probability, sep_params,
+                                    state.p_effective if algo.adaptive_p else None)
+    refresh_epoch(net, tier_probs, state.round)
+    cap = max(1, round_half_up(state.kappa_max_raw)) if algo.capped else None
+    heads = elect_cluster_heads(net, tier_probs, state.round, rng,
+                                energy_weighted=algo.threshold_kind == ENERGY_WEIGHTED,
+                                by_alive_mean=algo.adaptive_p, cap=cap).heads
     assignment = assign_members(net, heads, algo.join)
 
     l = radio.packet_bits
     counts = np.bincount(assignment.head_ids, minlength=len(net))[heads]
-    head_cost = (counts * rx_energy(radio, l) + aggregation_energy(radio, l, 1) * (counts + 1)
+    head_cost = (counts * rx_energy(radio, l) + aggregation_energy(radio, l) * (counts + 1)
                  + state.uplink[heads])
     headless = assignment.unassigned_ids
     charged = np.concatenate((assignment.member_ids, heads, headless))
@@ -185,9 +174,7 @@ def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
     if alive > 0:
         # The budget evolves first so the adapted probability sees it.
         if algo.learning_kappa:
-            kappa = learning_update(state, radio, field)
-            if kappa != state.kappa_max_raw:
-                state.kappa_max_raw, state.policy = kappa, None
+            state.kappa_max_raw = learning_update(state, radio, field)
         if algo.adaptive_p:
             state.p_effective = adaptive_probability(state.kappa_max_raw, alive)
     state.round += 1

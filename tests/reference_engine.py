@@ -3,7 +3,7 @@ step per node.
 
 This is the engine wsnsim ran before its state became arrays, kept as a test
 oracle. It shares only scalar pieces with the package (the config types, the
-closed-form analysis, the registry, `ElectionPolicy` and reporting), and it
+closed-form analysis, the registry, `tier_probabilities` and reporting), and it
 joins members with a full member x head `np.hypot` table instead of the
 package's screened join. Every float total is a left-to-right loop, the
 order the package's `np.cumsum` totals reproduce on every Python version.
@@ -21,11 +21,12 @@ import numpy as np
 
 from wsnsim import reporting
 from wsnsim.analysis import adaptive_probability, max_clusters
-from wsnsim.election import ENERGY_WEIGHTED, ElectionPolicy, epoch_length, leach_threshold
+from wsnsim.election import (ENERGY_WEIGHTED, epoch_length, leach_threshold,
+                             tier_probabilities)
 from wsnsim.membership import NEAREST
 from wsnsim.model import ADVANCED, NORMAL, FieldConfig, Network, RadioParams, round_half_up
-from wsnsim.simulator import (RNG_ALGORITHM, AlgorithmSpec, RoundRecord, _config_hash,
-                              _election_policy, algorithm)
+from wsnsim.simulator import (RNG_ALGORITHM, SEP, AlgorithmSpec, RoundRecord, _config_hash,
+                              algorithm)
 
 
 @dataclass
@@ -113,14 +114,13 @@ def refresh_epoch(nodes: list[Node], tier_probs: dict[str, float], round_no: int
                     node.eligible = True
 
 
-def elect_cluster_heads(nodes: list[Node], policy: ElectionPolicy, round_no: int,
-                        p_adp: float | None, rng: random.Random) -> list[int]:
-    tier_probs = policy.tier_probabilities(p_adp)
+def elect_cluster_heads(nodes: list[Node], tier_probs: dict[str, float], round_no: int,
+                        rng: random.Random, energy_weighted: bool, adaptive: bool,
+                        cap: int | None) -> list[int]:
     tier_thresholds = {tier: leach_threshold(p, round_no)
                        for tier, p in tier_probs.items()}
-    energy_weighted = policy.threshold_kind == ENERGY_WEIGHTED
     mean_fraction = 1.0
-    if energy_weighted and policy.adaptive:
+    if energy_weighted and adaptive:
         fractions = [n.residual_energy / n.initial_energy for n in nodes if n.alive]
         if fractions:
             mean_fraction = ordered_sum(fractions) / len(fractions)
@@ -131,13 +131,13 @@ def elect_cluster_heads(nodes: list[Node], policy: ElectionPolicy, round_no: int
         thr = tier_thresholds[node.tier]
         if energy_weighted:
             thr *= node.residual_energy / node.initial_energy
-            if policy.adaptive:
+            if adaptive:
                 thr = min(1.0, thr / mean_fraction)
         if rng.random() < thr:
             candidates.append(node)
-    if policy.cap is not None and len(candidates) > policy.cap:
+    if cap is not None and len(candidates) > cap:
         candidates.sort(key=lambda n: (-n.residual_energy, n.id))
-        candidates = candidates[:policy.cap]
+        candidates = candidates[:cap]
     for node in candidates:
         node.eligible = False
         node.last_head_round = round_no
@@ -194,10 +194,16 @@ def learning_update(state: State, radio: RadioParams, field: FieldConfig,
 def run_round(state: State, algo: AlgorithmSpec, radio: RadioParams,
               field: FieldConfig, rng: random.Random) -> RoundRecord:
     nodes = state.nodes
-    policy = _election_policy(algo, field, state.kappa_max_raw)
+    sep_params = ((field.advanced_energy_factor, field.advanced_fraction)
+                  if algo.base == SEP else None)
     p_adp = state.p_effective if algo.adaptive_p else None
-    refresh_epoch(nodes, policy.tier_probabilities(p_adp), state.round)
-    heads = elect_cluster_heads(nodes, policy, state.round, p_adp, rng)
+    tier_probs = dict(zip((NORMAL, ADVANCED),
+                          tier_probabilities(field.base_probability, sep_params, p_adp)))
+    cap = max(1, round_half_up(state.kappa_max_raw)) if algo.capped else None
+    refresh_epoch(nodes, tier_probs, state.round)
+    heads = elect_cluster_heads(nodes, tier_probs, state.round, rng,
+                                algo.threshold_kind == ENERGY_WEIGHTED, algo.adaptive_p,
+                                cap)
     members, unassigned, distances = full_table_assign(nodes, heads, algo.join)
 
     l = radio.packet_bits

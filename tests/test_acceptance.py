@@ -19,7 +19,7 @@ from reference_engine import Node, network_of
 from wsnsim import FieldConfig, RadioParams, algorithm_names, run_simulation
 from wsnsim.analysis import max_clusters, optimal_distance
 from wsnsim.cli import main
-from wsnsim.election import ENERGY_WEIGHTED, PLAIN, ElectionPolicy, elect_cluster_heads
+from wsnsim.election import elect_cluster_heads
 from wsnsim.membership import ENERGY_DISTANCE, NEAREST, JoinPolicy, assign_members
 from wsnsim.simulator import algorithm
 from wsnsim.model import round_half_up
@@ -218,7 +218,8 @@ def test_criterion_6_membership_equivalence():
             by_ratio = assign_members(
                 net, heads, JoinPolicy(ENERGY_DISTANCE, alpha, beta))
             by_dist = assign_members(net, heads, JoinPolicy(NEAREST))
-            if by_ratio != by_dist:
+            if (by_ratio.members != by_dist.members
+                    or by_ratio.unassigned != by_dist.unassigned):
                 mismatches += 1
     report(6, mismatches == 0,
            f"{mismatches} mismatches over 1000 equal-energy instances")
@@ -237,14 +238,12 @@ def test_criterion_8_epoch_final_slot_forces_election():
     p = 0.1
     final_slot = 9  # epoch length round(1/p) = 10, last slot index 9
     all_elected = True
-    for kind in (PLAIN, ENERGY_WEIGHTED):
+    for energy_weighted in (False, True):
         for seed in range(20):
             nodes = [Node(id=i, x=float(i), y=0.0, tier="normal",
                           initial_energy=0.5) for i in range(100)]
-            policy = ElectionPolicy(threshold_kind=kind, base_probability=p,
-                                    cap=14)
-            out = elect_cluster_heads(network_of(nodes), policy, final_slot, None,
-                                      random.Random(seed))
+            out = elect_cluster_heads(network_of(nodes), (p, p), final_slot,
+                                      random.Random(seed), energy_weighted, cap=14)
             if out.candidates_before_cap != 100:
                 all_elected = False
     report(8, all_elected,

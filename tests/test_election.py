@@ -4,9 +4,10 @@ import statistics
 import pytest
 
 from reference_engine import Node, network_of
-from wsnsim.election import (ENERGY_WEIGHTED, ElectionPolicy, elect_cluster_heads,
-                             epoch_length, leach_threshold, refresh_epoch,
-                             sep_probabilities)
+from wsnsim.election import (elect_cluster_heads, epoch_length, leach_threshold,
+                             refresh_epoch, sep_probabilities, tier_probabilities)
+
+P = (0.1, 0.1)   # the default (normal, advanced) pair: p = 0.1 on one tier
 
 
 def make_nodes(count, energy=0.5, tier="normal"):
@@ -40,44 +41,37 @@ class TestLeachThreshold:
             r = rng.randrange(0, 5000)
             assert 0.0 <= leach_threshold(p, r) <= 1.0
 
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            leach_threshold(0.0, 0)
-        with pytest.raises(ValueError):
-            leach_threshold(1.5, 0)
-
 
 class TestEnergyThreshold:
     """An energy-weighted election scales each candidate's threshold by its
     residual-energy fraction."""
 
     def test_full_energy_equals_plain(self):
-        weighted = ElectionPolicy(threshold_kind=ENERGY_WEIGHTED)
         for r in range(10):
-            plain = elect_cluster_heads(make_network(50), ElectionPolicy(), r, None,
-                                        random.Random(r))
-            assert plain.heads
-            assert elect_cluster_heads(make_network(50), weighted, r, None,
-                                       random.Random(r)) == plain
+            plain = elect_cluster_heads(make_network(50), P, r, random.Random(r))
+            assert plain.heads.size
+            weighted = elect_cluster_heads(make_network(50), P, r, random.Random(r),
+                                           energy_weighted=True)
+            assert weighted.heads.tolist() == plain.heads.tolist()
+            assert weighted.candidates_before_cap == plain.candidates_before_cap
 
     def test_dead_node_zero(self):
         # In the epoch's last slot the plain threshold is 1, so every
         # candidate is elected but the one with no residual energy.
         net = make_network(5)
         net.e_res[2] = 0.0
-        policy = ElectionPolicy(threshold_kind=ENERGY_WEIGHTED)
-        assert elect_cluster_heads(net, policy, 9, None, random.Random(3)).heads == [0, 1, 3, 4]
+        out = elect_cluster_heads(net, P, 9, random.Random(3), energy_weighted=True)
+        assert out.heads.tolist() == [0, 1, 3, 4]
 
     def test_half_energy(self):
         # Threshold 0.1 * 0.5 at an epoch start: a node is elected exactly
         # when its draw, taken in id order, is below 0.05.
         net = make_network(200)
         net.e_res[:] = 0.25
-        policy = ElectionPolicy(threshold_kind=ENERGY_WEIGHTED)
-        out = elect_cluster_heads(net, policy, 0, None, random.Random(11))
+        out = elect_cluster_heads(net, P, 0, random.Random(11), energy_weighted=True)
         rng = random.Random(11)
         expected = [i for i in range(200) if rng.random() < 0.05]
-        assert expected and out.heads == expected
+        assert expected and out.heads.tolist() == expected
 
 
 class TestSepProbabilities:
@@ -106,8 +100,8 @@ class TestElectClusterHeads:
         # Round 9 is the epoch's last slot, where an eligible node's threshold is 1.
         net = make_network(10)
         net.eligible[:] = False
-        out = elect_cluster_heads(net, ElectionPolicy(), 9, None, random.Random(1))
-        assert out.heads == []
+        out = elect_cluster_heads(net, P, 9, random.Random(1))
+        assert out.heads.tolist() == []
         assert out.candidates_before_cap == 0
 
     def test_last_slot_with_cap_selects_highest_energy(self):
@@ -119,19 +113,17 @@ class TestElectClusterHeads:
         for n, e in zip(nodes, energies):
             n.initial_energy = 1.0
             n.residual_energy = e
-        policy = ElectionPolicy(base_probability=0.1, cap=10)
-        out = elect_cluster_heads(network_of(nodes), policy, 9, None, random.Random(2))
+        out = elect_cluster_heads(network_of(nodes), P, 9, random.Random(2), cap=10)
         assert out.candidates_before_cap == 100
         assert len(out.heads) == 10
         top = sorted(nodes, key=lambda n: (-n.residual_energy, n.id))[:10]
-        assert out.heads == sorted(n.id for n in top)
+        assert out.heads.tolist() == sorted(n.id for n in top)
 
     def test_cap_tie_breaks_by_lower_id(self):
         net = make_network(6, energy=0.5)
-        policy = ElectionPolicy(base_probability=0.5, cap=3)
-        out = elect_cluster_heads(net, policy, 1, None, random.Random(3))
+        out = elect_cluster_heads(net, (0.5, 0.5), 1, random.Random(3), cap=3)
         # p=0.5, r=1: threshold 1 -> all 6 candidates, equal energy: ids 0,1,2
-        assert out.heads == [0, 1, 2]
+        assert out.heads.tolist() == [0, 1, 2]
 
     def test_cap_selection_invariant_under_energy_scaling(self):
         rng = random.Random(7)
@@ -142,22 +134,21 @@ class TestElectClusterHeads:
                         initial_energy=n.initial_energy * 3,
                         residual_energy=n.residual_energy * 3)
                    for n in nodes_a]
-        policy = ElectionPolicy(base_probability=0.3, cap=5)
-        out_a = elect_cluster_heads(network_of(nodes_a), policy, 2, None, random.Random(9))
-        out_b = elect_cluster_heads(network_of(nodes_b), policy, 2, None, random.Random(9))
-        assert out_a.heads == out_b.heads
+        out_a, out_b = (elect_cluster_heads(network_of(nodes), (0.3, 0.3), 2,
+                                            random.Random(9), cap=5)
+                        for nodes in (nodes_a, nodes_b))
+        assert out_a.heads.tolist() == out_b.heads.tolist()
 
     def test_deterministic_given_seed(self):
-        policy = ElectionPolicy(base_probability=0.1)
-        out1 = elect_cluster_heads(make_network(100), policy, 0, None, random.Random(4))
-        out2 = elect_cluster_heads(make_network(100), policy, 0, None, random.Random(4))
-        assert out1 == out2
+        out1 = elect_cluster_heads(make_network(100), P, 0, random.Random(4))
+        out2 = elect_cluster_heads(make_network(100), P, 0, random.Random(4))
+        assert out1.heads.tolist() == out2.heads.tolist()
+        assert out1.candidates_before_cap == out2.candidates_before_cap
 
     def test_elected_nodes_leave_candidate_pool(self):
         net = make_network(20)
-        policy = ElectionPolicy(base_probability=0.5)
-        out = elect_cluster_heads(net, policy, 0, None, random.Random(6))
-        assert out.heads  # p=0.5 over 20 nodes: some heads with this seed
+        out = elect_cluster_heads(net, (0.5, 0.5), 0, random.Random(6))
+        assert out.heads.size  # p=0.5 over 20 nodes: some heads with this seed
         for hid in out.heads:
             assert not net.eligible[hid]
 
@@ -165,21 +156,20 @@ class TestElectClusterHeads:
         nodes = make_nodes(20)
         for n in nodes[:10]:
             n.drain(n.residual_energy + 1)
-        policy = ElectionPolicy(base_probability=1.0)
-        out = elect_cluster_heads(network_of(nodes), policy, 0, None, random.Random(8))
-        assert set(out.heads) == {n.id for n in nodes[10:]}
+        out = elect_cluster_heads(network_of(nodes), (1.0, 1.0), 0, random.Random(8))
+        assert set(out.heads.tolist()) == {n.id for n in nodes[10:]}
 
     def test_expected_head_count_matches_base_probability(self):
         # Over full epochs each node serves exactly once, so the long-run
         # per-round head count under p with N alive nodes averages p*N.
         net = make_network(100)
-        policy = ElectionPolicy(base_probability=0.1)
+        probs = tier_probabilities(0.1, None, None)
         rng = random.Random(12)
         counts = []
         rounds = 2000
         for r in range(rounds):
-            refresh_epoch(net, policy.tier_probabilities(), r)
-            counts.append(len(elect_cluster_heads(net, policy, r, None, rng).heads))
+            refresh_epoch(net, probs, r)
+            counts.append(len(elect_cluster_heads(net, probs, r, rng).heads))
         mean = statistics.fmean(counts)
         se = statistics.stdev(counts) / rounds ** 0.5
         assert abs(mean - 10.0) <= 3 * se + 1e-9
@@ -195,32 +185,23 @@ class TestElectClusterHeads:
         for n in nodes:
             n.residual_energy = n.initial_energy * rng.uniform(0.1, 1.0)
         net = network_of(nodes)
-        policy = ElectionPolicy(threshold_kind=ENERGY_WEIGHTED,
-                                base_probability=0.1, adaptive=True)
         p_adp = 0.2
+        probs = tier_probabilities(0.1, None, p_adp)
         counts = []
         trials = 2000
         for _ in range(trials):
-            refresh_epoch(net, policy.tier_probabilities(p_adp), 0)
-            counts.append(len(elect_cluster_heads(net, policy, 0, p_adp,
-                                                  rng).heads))
+            refresh_epoch(net, probs, 0)
+            counts.append(len(elect_cluster_heads(net, probs, 0, rng, energy_weighted=True,
+                                                  by_alive_mean=True).heads))
         mean = statistics.fmean(counts)
         se = statistics.stdev(counts) / trials ** 0.5
         assert abs(mean - p_adp * len(nodes)) <= 3 * se + 1e-9
 
-    def test_adaptive_policy_requires_p_adp(self):
-        policy = ElectionPolicy(adaptive=True)
-        with pytest.raises(ValueError):
-            elect_cluster_heads(make_network(5), policy, 0, None, random.Random(1))
-
     def test_sep_adaptive_preserves_tier_ratio(self):
-        policy = ElectionPolicy(base_probability=0.1, sep_params=(1.0, 0.1),
-                                adaptive=True)
-        probs = policy.tier_probabilities(p_adp=0.2)
-        assert probs["advanced"] == pytest.approx(2 * probs["normal"])
-        base = ElectionPolicy(base_probability=0.1, sep_params=(1.0, 0.1))
-        doubled = {t: 2 * p for t, p in base.tier_probabilities().items()}
-        assert probs == pytest.approx(doubled)
+        p_nrm, p_adv = tier_probabilities(0.1, (1.0, 0.1), 0.2)
+        assert p_adv == pytest.approx(2 * p_nrm)
+        base = tier_probabilities(0.1, (1.0, 0.1), None)
+        assert (p_nrm, p_adv) == pytest.approx(tuple(2 * p for p in base))
 
 
 class TestRefreshEpoch:
@@ -232,7 +213,7 @@ class TestRefreshEpoch:
 
     def test_reeligible_at_boundaries(self):
         net = make_network(5)
-        probs = {"normal": 0.1, "advanced": 0.1}
+        probs = P
         net.eligible[:] = False
         refresh_epoch(net, probs, 5)
         assert not any(net.eligible)
@@ -241,7 +222,7 @@ class TestRefreshEpoch:
 
     def test_elected_at_round_three_sits_out_rest_of_epoch(self):
         net = make_network(1)
-        probs = {"normal": 0.1, "advanced": 0.1}
+        probs = P
         net.eligible[0] = False  # served at round 3
         for r in range(4, 10):
             refresh_epoch(net, probs, r)
@@ -255,5 +236,5 @@ class TestRefreshEpoch:
             n.drain(1.0)
             n.eligible = False
         net = network_of(nodes)
-        refresh_epoch(net, {"normal": 0.1, "advanced": 0.1}, 0)
+        refresh_epoch(net, P, 0)
         assert not any(net.eligible)

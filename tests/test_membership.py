@@ -20,6 +20,12 @@ def assign(nodes, heads, policy):
     return assign_members(network_of(nodes), heads, policy)
 
 
+def same_assignment(a, b):
+    """Equal member, head, distance and unassigned arrays."""
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("member_ids", "head_ids", "distances", "unassigned_ids"))
+
+
 def random_instance(rng, n_nodes, n_heads, equal_energy=False):
     nodes = [node(i, rng.uniform(0, 100), rng.uniform(0, 100),
                   energy=0.5 if equal_energy else rng.uniform(0.01, 1.0))
@@ -50,16 +56,6 @@ class TestEnergyDistanceRatio:
         for e2, joined in ((0.7, 1), (0.7 * (1 + 1e-9), 2)):
             nodes = [node(0, 0.0, 0.0), node(1, 4.0, 0.0, 0.35), node(2, 0.0, 8.0, e2)]
             assert assign(nodes, [1, 2], policy).members == {0: joined}
-
-
-class TestJoinPolicyValidation:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            JoinPolicy(kind="fuzzy")
-
-    def test_energy_distance_needs_positive_exponents(self):
-        with pytest.raises(ValueError):
-            JoinPolicy(kind=ENERGY_DISTANCE, alpha=0.0, beta=2.0)
 
 
 class TestAssignMembers:
@@ -129,14 +125,13 @@ class TestAssignMembers:
                 by_ratio = assign(nodes, heads,
                                           JoinPolicy(ENERGY_DISTANCE, alpha, beta))
                 by_dist = assign(nodes, heads, JoinPolicy(NEAREST))
-                assert by_ratio == by_dist
+                assert same_assignment(by_ratio, by_dist)
 
     def test_deterministic(self):
         rng = random.Random(23)
         nodes, heads = random_instance(rng, 40, 6)
         policy = JoinPolicy(ENERGY_DISTANCE, alpha=1, beta=1)
-        assert assign(nodes, heads, policy) == \
-            assign(nodes, heads, policy)
+        assert same_assignment(assign(nodes, heads, policy), assign(nodes, heads, policy))
 
     def test_brute_force_oracle_small_instances(self):
         # Exhaustive pairwise ratio evaluation, no vectorization, as an
@@ -267,8 +262,9 @@ class TestAssignMembersOracle:
             nodes, heads = oracle_instance(rng, kind)
             net = network_of(nodes)
             for policy in ORACLE_POLICIES:
-                assert assign_members(net, heads, policy) == \
-                    reference_assign(nodes, heads, policy), (kind, policy)
+                assert same_assignment(assign_members(net, heads, policy),
+                                       reference_assign(nodes, heads, policy)), \
+                    (kind, policy)
 
     def test_multi_block_instance(self):
         rng = random.Random(25)
@@ -277,8 +273,8 @@ class TestAssignMembersOracle:
         assert 5000 * 9 * membership._HEADS_PER_CELL > membership._BLOCK
         net = network_of(nodes)
         for policy in ORACLE_POLICIES:
-            assert assign_members(net, heads, policy) == \
-                reference_assign(nodes, heads, policy)
+            assert same_assignment(assign_members(net, heads, policy),
+                                   reference_assign(nodes, heads, policy))
 
     def test_hypot_order_beats_squared_distance_order(self):
         # d^2 ranks head 1 nearer, np.hypot ranks head 0 nearer; the
@@ -311,7 +307,7 @@ class TestGridPruning:
         monkeypatch.setattr(membership, "_screen", counting(screen, screened))
         monkeypatch.setattr(membership, "_exact_choice", counting(exact_choice, exact))
         out = assign_members(network, heads, policy)
-        assert out == reference_assign(network, heads, policy)
+        assert same_assignment(out, reference_assign(network, heads, policy))
         return sum(screened) - len(out.members), sum(exact)
 
     @pytest.mark.parametrize("policy", [JoinPolicy(NEAREST),

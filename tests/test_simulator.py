@@ -166,11 +166,30 @@ class TestRunSimulation:
         assert early.p_used == 0.1  # adaptation starts after round 0
         assert late.p_used > s.series[1].p_used
 
-    def test_cap_enforced_every_round(self):
+    def test_cap_enforced_every_round(self, monkeypatch):
+        # The learning run moves kappa after its first deaths; the cap must
+        # follow it, so it is checked on rounds where it binds after the move.
+        candidates = []
+        elect = simulator.elect_cluster_heads
+
+        def recording(*args, **kwargs):
+            outcome = elect(*args, **kwargs)
+            candidates.append(outcome.candidates_before_cap)
+            return outcome
+
+        monkeypatch.setattr(simulator, "elect_cluster_heads", recording)
         field = FieldConfig(node_count=60, max_rounds=500, initial_energy=0.05)
-        s = run_simulation(field, RadioParams(), "leach-kp", 11)
-        for rec in s.series:
-            assert rec.head_count <= max(1, round_half_up(rec.kappa_used))
+        for name in ("leach-kp", "leach-kef-1-1-p-learning"):
+            candidates.clear()
+            s = run_simulation(field, RadioParams(), name, 11)
+            caps = [max(1, round_half_up(rec.kappa_used)) for rec in s.series]
+            for rec, cap in zip(s.series, caps):
+                assert rec.head_count <= cap, (name, rec)
+        # s, caps and candidates are now the learning run's.
+        moved = [rec.kappa_used != s.series[0].kappa_used for rec in s.series]
+        assert any(moved)
+        first = moved.index(True)
+        assert any(n > cap for n, cap in zip(candidates[first:], caps[first:]))
 
     def test_dead_node_never_serves_again(self, monkeypatch):
         field = FieldConfig(node_count=30, max_rounds=800, initial_energy=0.03)
@@ -181,9 +200,9 @@ class TestRunSimulation:
         last_head_round = {}
         elect = simulator.elect_cluster_heads
 
-        def recording(network, policy, round_no, *args):
-            outcome = elect(network, policy, round_no, *args)
-            last_head_round.update(dict.fromkeys(outcome.heads, round_no))
+        def recording(network, tier_probs, round_no, *args, **kwargs):
+            outcome = elect(network, tier_probs, round_no, *args, **kwargs)
+            last_head_round.update(dict.fromkeys(outcome.heads.tolist(), round_no))
             return outcome
 
         monkeypatch.setattr(simulator, "elect_cluster_heads", recording)
@@ -299,13 +318,6 @@ class TestLearningUpdate:
         assert s.first_death_round is not None
         kappas = [r.kappa_used for r in s.series]
         assert kappas[0] != kappas[-1]
-
-    def test_no_alive_nodes_rejected(self):
-        field = FieldConfig(node_count=4, max_rounds=5)
-        state = make_state(self._ring_nodes(4, 10.0, field.bs_position), field.bs_position)
-        state.network.alive[:] = False
-        with pytest.raises(ValueError):
-            learning_update(state, RadioParams(), field)
 
 
 class TestMemory:
