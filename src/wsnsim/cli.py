@@ -19,6 +19,9 @@ class ConfigError(Exception):
     pass
 
 
+FORMATS = ("csv", "json")
+
+
 @dataclass
 class RunConfig:
     field: FieldConfig = dc_field(default_factory=FieldConfig)
@@ -26,21 +29,15 @@ class RunConfig:
     algorithms: list[str] = dc_field(default_factory=list)
     seeds: list[int] = dc_field(default_factory=lambda: [0])
     output_dir: Path = Path("out")
-    formats: set[str] = dc_field(default_factory=lambda: {"csv", "json"})
+    formats: set[str] = dc_field(default_factory=lambda: set(FORMATS))
 
 
-def _parse_float(raw, key, line):
+def _parse(kind: type, raw: str, where: str):
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"line {line}: key {key!r}: cannot parse {raw!r} as a number")
-
-
-def _parse_int(raw, key, line):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"line {line}: key {key!r}: cannot parse {raw!r} as an integer")
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}: cannot parse {raw!r} as {noun}") from None
 
 
 def _unique(values: list, key: str) -> list:
@@ -51,21 +48,22 @@ def _unique(values: list, key: str) -> list:
     return values
 
 
-_FIELD_KEYS = {
-    "side": ("side_m", _parse_float),
-    "nodes": ("node_count", _parse_int),
-    "p": ("base_probability", _parse_float),
-    "advanced_fraction": ("advanced_fraction", _parse_float),
-    "advanced_energy_factor": ("advanced_energy_factor", _parse_float),
-    "initial_energy": ("initial_energy", _parse_float),
-    "max_rounds": ("max_rounds", _parse_int),
-}
-_RADIO_KEYS = {
-    "elec_energy_per_bit": ("elec_energy_per_bit", _parse_float),
-    "fs_amp": ("fs_amp", _parse_float),
-    "mp_amp": ("mp_amp", _parse_float),
-    "aggregation_energy_per_bit": ("aggregation_energy_per_bit", _parse_float),
-    "packet_bits": ("packet_bits", _parse_int),
+# Scalar config key -> (owner, its keyword or BS axis, type).
+_SCALAR_KEYS = {
+    "side": ("field", "side_m", float),
+    "nodes": ("field", "node_count", int),
+    "p": ("field", "base_probability", float),
+    "advanced_fraction": ("field", "advanced_fraction", float),
+    "advanced_energy_factor": ("field", "advanced_energy_factor", float),
+    "initial_energy": ("field", "initial_energy", float),
+    "max_rounds": ("field", "max_rounds", int),
+    "bs_x": ("bs", 0, float),
+    "bs_y": ("bs", 1, float),
+    "elec_energy_per_bit": ("radio", "elec_energy_per_bit", float),
+    "fs_amp": ("radio", "fs_amp", float),
+    "mp_amp": ("radio", "mp_amp", float),
+    "aggregation_energy_per_bit": ("radio", "aggregation_energy_per_bit", float),
+    "packet_bits": ("radio", "packet_bits", int),
 }
 
 
@@ -75,7 +73,7 @@ def parse_config(path: str | Path) -> RunConfig:
     Lines are `key = value`; `#` and `;` start comments; `[section]` headers
     are allowed for grouping and otherwise ignored. Unknown keys, unparsable
     values, and out-of-range values are configuration errors naming the key
-    and line.
+    and line. An unset BS coordinate is the centre of the configured side.
     """
     path = Path(path)
     try:
@@ -83,10 +81,8 @@ def parse_config(path: str | Path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
-    field_kw: dict = {}
-    radio_kw: dict = {}
+    owners: dict[str, dict] = {"field": {}, "radio": {}, "bs": {}}
     cfg = RunConfig()
-    bs_x = bs_y = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].split(";", 1)[0].strip()
         if not line or (line.startswith("[") and line.endswith("]")):
@@ -95,45 +91,34 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {rawline!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip().lower(), raw.strip()
-        if key in _FIELD_KEYS:
-            attr, parse = _FIELD_KEYS[key]
-            field_kw[attr] = parse(raw, key, lineno)
-        elif key in _RADIO_KEYS:
-            attr, parse = _RADIO_KEYS[key]
-            radio_kw[attr] = parse(raw, key, lineno)
-        elif key == "bs_x":
-            bs_x = _parse_float(raw, key, lineno)
-        elif key == "bs_y":
-            bs_y = _parse_float(raw, key, lineno)
+        where = f"line {lineno}: key {key!r}"
+        values = [v.strip() for v in raw.split(",") if v.strip()]   # a list key's items
+        if key in _SCALAR_KEYS:
+            owner, name, kind = _SCALAR_KEYS[key]
+            owners[owner][name] = _parse(kind, raw, where)
         elif key == "algorithms":
-            cfg.algorithms = _unique([a.strip().lower() for a in raw.split(",") if a.strip()],
-                                     f"line {lineno}: key {key!r}")
+            cfg.algorithms = _unique([v.lower() for v in values], where)
             for name in cfg.algorithms:
                 if name not in algorithm_names():
                     raise ConfigError(f"line {lineno}: unknown algorithm {name!r}")
         elif key == "seeds":
-            cfg.seeds = _unique([_parse_int(s.strip(), key, lineno)
-                                 for s in raw.split(",") if s.strip()],
-                                f"line {lineno}: key {key!r}")
+            cfg.seeds = _unique([_parse(int, v, where) for v in values], where)
         elif key == "output_dir":
             cfg.output_dir = Path(raw)
         elif key == "formats":
-            formats = {f.strip().lower() for f in raw.split(",") if f.strip()}
-            bad = formats - {"csv", "json"}
+            cfg.formats = {v.lower() for v in values}
+            bad = cfg.formats.difference(FORMATS)
             if bad:
                 raise ConfigError(f"line {lineno}: unknown format(s) {sorted(bad)}")
-            cfg.formats = formats
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
-    side = field_kw.get("side_m", 100.0)
-    if bs_x is not None or bs_y is not None:
-        field_kw["bs_position"] = (bs_x if bs_x is not None else side / 2,
-                                   bs_y if bs_y is not None else side / 2)
+    side = owners["field"].get("side_m", FieldConfig.side_m)
+    owners["field"]["bs_position"] = tuple(owners["bs"].get(axis, side / 2) for axis in (0, 1))
     try:
-        cfg.field = FieldConfig(**field_kw)
-        cfg.radio = RadioParams(**radio_kw)
-    except ValueError as exc:
+        cfg.field = FieldConfig(**owners["field"])
+        cfg.radio = RadioParams(**owners["radio"])
+    except (ValueError, ArithmeticError) as exc:   # e.g. nodes beyond the float range
         raise ConfigError(str(exc)) from exc
     if not cfg.seeds:
         raise ConfigError("seeds must be non-empty")
@@ -152,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--rounds", type=int, default=None,
                         help="override maximum number of rounds")
     parser.add_argument("--output-dir", type=Path, default=None)
-    parser.add_argument("--format", action="append", choices=("csv", "json"),
+    parser.add_argument("--format", action="append", choices=FORMATS,
                         default=None, help="output format (repeatable)")
     parser.add_argument("--list-algorithms", action="store_true",
                         help="print the algorithm registry and exit")
@@ -200,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
         if "json" in cfg.formats:
             cfg.output_dir.mkdir(parents=True, exist_ok=True)
             write_summary_json(summaries, cfg.output_dir / "summary.json")
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:   # e.g. a float overflow
         print(f"wsnsim: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

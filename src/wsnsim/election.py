@@ -16,10 +16,6 @@ import numpy as np
 
 from .model import Network, ordered_sum, round_half_up
 
-PLAIN = "plain"
-ENERGY_WEIGHTED = "energy_weighted"
-
-
 def epoch_length(p: float) -> int:
     """Rounds per rotation epoch for probability p (nearest integer, >= 1)."""
     return max(1, round_half_up(1.0 / p))

@@ -50,8 +50,6 @@ class RadioParams:
         _require_int("packet_bits", self.packet_bits, 1)
         if not self.fs_amp > self.mp_amp:
             raise ValueError("fs_amp must exceed mp_amp for a crossover distance > 1 m")
-        # Not a field: repr, equality and hashing see only the parameters.
-        object.__setattr__(self, "_crossover", math.sqrt(self.fs_amp / self.mp_amp))
 
 
 @dataclass(frozen=True)
@@ -91,6 +89,10 @@ class FieldConfig:
         bx, by = self.bs_position
         if not (0 <= bx <= self.side_m and 0 <= by <= self.side_m):
             raise ValueError(f"bs_position {self.bs_position!r} outside the field square")
+        total = self.initial_energy * self.node_count * (1.0 + self.advanced_energy_factor)
+        if not math.isfinite(total):
+            raise ValueError("initial_energy * node_count * (1 + advanced_energy_factor) "
+                             f"must be finite, got {total!r}")
 
 
 NORMAL = "normal"
@@ -137,7 +139,7 @@ def tx_energies(params: RadioParams, bits: int, distances: np.ndarray) -> np.nda
     to the crossover distance sqrt(fs_amp / mp_amp), multipath (d^4) beyond.
     The powers are Python's `**`: numpy's d*d and np.power differ from it in
     some last bits."""
-    far = distances > params._crossover
+    far = distances > math.sqrt(params.fs_amp / params.mp_amp)
     powers = np.fromiter(map(pow, distances.tolist(), np.where(far, 4.0, 2.0).tolist()),
                          float, distances.size)
     amp = np.where(far, bits * params.mp_amp, bits * params.fs_amp)

@@ -10,8 +10,7 @@ import numpy as np
 
 from . import reporting
 from .analysis import adaptive_probability, max_clusters, representative_bs_distance
-from .election import (ENERGY_WEIGHTED, PLAIN, elect_cluster_heads, refresh_epoch,
-                       tier_probabilities)
+from .election import elect_cluster_heads, refresh_epoch, tier_probabilities
 from .membership import ENERGY_DISTANCE, NEAREST, JoinPolicy, assign_members
 from .model import (FieldConfig, Network, RadioParams, aggregation_energy,
                     deploy_field, ordered_sum, round_half_up, rx_energy,
@@ -29,7 +28,7 @@ class AlgorithmSpec:
 
     name: str
     base: str                     # LEACH or SEP
-    threshold_kind: str           # PLAIN or ENERGY_WEIGHTED
+    energy_weighted: bool         # scale the threshold by the residual-energy fraction
     join: JoinPolicy
     capped: bool                  # limit heads per round to the cluster budget
     adaptive_p: bool              # re-derive the election probability each round
@@ -40,22 +39,21 @@ def _build_registry() -> dict[str, AlgorithmSpec]:
     nearest = JoinPolicy(NEAREST)
     reg = {}
 
-    def add(name, base, threshold, join, capped, adaptive, learning=False):
-        reg[name] = AlgorithmSpec(name=name, base=base, threshold_kind=threshold,
+    def add(name, base, weighted, join, capped, adaptive, learning=False):
+        reg[name] = AlgorithmSpec(name=name, base=base, energy_weighted=weighted,
                                   join=join, capped=capped, adaptive_p=adaptive,
                                   learning_kappa=learning)
 
     for base in (LEACH, SEP):
-        add(base, base, PLAIN, nearest, capped=False, adaptive=False)
-        add(f"{base}-kp", base, PLAIN, nearest, capped=True, adaptive=True)
-        add(f"{base}-kep", base, ENERGY_WEIGHTED, nearest, capped=True, adaptive=True)
+        add(base, base, False, nearest, capped=False, adaptive=False)
+        add(f"{base}-kp", base, False, nearest, capped=True, adaptive=True)
+        add(f"{base}-kep", base, True, nearest, capped=True, adaptive=True)
         for alpha, beta in ((1, 1), (1, 2)):
             join = JoinPolicy(ENERGY_DISTANCE, alpha=float(alpha), beta=float(beta))
             stem = f"{base}-kef-{alpha}-{beta}"
-            add(stem, base, ENERGY_WEIGHTED, join, capped=True, adaptive=False)
-            add(f"{stem}-p", base, ENERGY_WEIGHTED, join, capped=True, adaptive=True)
-            add(f"{stem}-p-learning", base, ENERGY_WEIGHTED, join, capped=True,
-                adaptive=True, learning=True)
+            add(stem, base, True, join, capped=True, adaptive=False)
+            add(f"{stem}-p", base, True, join, capped=True, adaptive=True)
+            add(f"{stem}-p-learning", base, True, join, capped=True, adaptive=True, learning=True)
     return reg
 
 
@@ -144,7 +142,7 @@ def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
     refresh_epoch(net, tier_probs, state.round)
     cap = max(1, round_half_up(state.kappa_max_raw)) if algo.capped else None
     heads = elect_cluster_heads(net, tier_probs, state.round, rng,
-                                energy_weighted=algo.threshold_kind == ENERGY_WEIGHTED,
+                                energy_weighted=algo.energy_weighted,
                                 by_alive_mean=algo.adaptive_p, cap=cap).heads
     assignment = assign_members(net, heads, algo.join)
 

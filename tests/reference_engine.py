@@ -21,8 +21,7 @@ import numpy as np
 
 from wsnsim import reporting
 from wsnsim.analysis import adaptive_probability, max_clusters
-from wsnsim.election import (ENERGY_WEIGHTED, epoch_length, leach_threshold,
-                             tier_probabilities)
+from wsnsim.election import epoch_length, leach_threshold, tier_probabilities
 from wsnsim.membership import NEAREST
 from wsnsim.model import ADVANCED, NORMAL, FieldConfig, Network, RadioParams, round_half_up
 from wsnsim.simulator import (RNG_ALGORITHM, SEP, AlgorithmSpec, RoundRecord, _config_hash,
@@ -202,7 +201,7 @@ def run_round(state: State, algo: AlgorithmSpec, radio: RadioParams,
     cap = max(1, round_half_up(state.kappa_max_raw)) if algo.capped else None
     refresh_epoch(nodes, tier_probs, state.round)
     heads = elect_cluster_heads(nodes, tier_probs, state.round, rng,
-                                algo.threshold_kind == ENERGY_WEIGHTED, algo.adaptive_p,
+                                algo.energy_weighted, algo.adaptive_p,
                                 cap)
     members, unassigned, distances = full_table_assign(nodes, heads, algo.join)
 

@@ -63,6 +63,11 @@ class TestParseConfig:
         cfg = parse_config(write_cfg(tmp_path, "side = 60\nbs_x = 5\n"))
         assert cfg.field.bs_position == (5.0, 30.0)
 
+    @pytest.mark.parametrize("side, centre", [(40, 20.0), (200, 100.0)])
+    def test_bs_defaults_to_centre_of_configured_side(self, tmp_path, side, centre):
+        cfg = parse_config(write_cfg(tmp_path, f"side = {side}\n"))
+        assert cfg.field.bs_position == (centre, centre)
+
     def test_unknown_key_names_key_and_line(self, tmp_path):
         path = write_cfg(tmp_path, "nodes = 10\nbogus = 3\n")
         with pytest.raises(ConfigError, match=r"line 2.*bogus"):
@@ -82,6 +87,11 @@ class TestParseConfig:
         path = write_cfg(tmp_path, "p = 1.5\n")
         with pytest.raises(ConfigError):
             parse_config(path)
+
+    def test_node_count_beyond_float_range_rejected(self, tmp_path):
+        # The total-energy check cannot convert it to a float.
+        with pytest.raises(ConfigError, match="too large"):
+            parse_config(write_cfg(tmp_path, f"nodes = {10 ** 400}\n"))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no-such"):
@@ -227,6 +237,16 @@ class TestMain:
         # max_rounds from the config file still applies (not overridden)
         lines = (out / "leach" / "seed-3.csv").read_text().splitlines()
         assert len(lines) == 16
+
+    @pytest.mark.parametrize("text", ["side = 1e100",                  # OverflowError in pow
+                                      "side = 1e-200\nbs_x = 0",       # ZeroDivisionError
+                                      "fs_amp = 1e100\nmp_amp = 1e-300"])
+    def test_float_overflow_is_one_line_runtime_error(self, capsys, tmp_path, text):
+        cfg = write_cfg(tmp_path, f"{text}\nalgorithms = leach\n")
+        rc = main(["--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("wsnsim: error: ") and err.count("\n") == 1
 
     def test_unwritable_output_is_runtime_error(self, capsys, tmp_path):
         blocker = tmp_path / "occupied"

@@ -134,6 +134,8 @@ class TestFieldConfigValidation:
         {"max_rounds": 2.5},
         {"max_rounds": -1},
         {"max_rounds": False},
+        {"initial_energy": 1e307},      # 100 nodes would hold inf J in total
+        {"initial_energy": 1e308, "advanced_energy_factor": 10.0},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError, match=f"^{next(iter(kw))} "):

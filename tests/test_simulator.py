@@ -55,7 +55,7 @@ class TestRegistry:
         leach = algorithm("leach")
         assert not (leach.capped or leach.adaptive_p or leach.learning_kappa)
         kep = algorithm("sep-kep")
-        assert kep.capped and kep.adaptive_p and kep.threshold_kind == "energy_weighted"
+        assert kep.capped and kep.adaptive_p and kep.energy_weighted
         kef = algorithm("leach-kef-1-2")
         assert kef.capped and not kef.adaptive_p
         assert kef.join.kind == "energy_distance"
