@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .model import FieldConfig, RadioParams
@@ -32,23 +32,23 @@ class RunConfig:
     formats: set[str] = dc_field(default_factory=lambda: set(FORMATS))
 
 
-def _parse(kind: type, raw: str, where: str):
+def _parse(kind: type, raw: str):
     try:
         return kind(raw)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{where}: cannot parse {raw!r} as {noun}") from None
+        raise ValueError(f"cannot parse {raw!r} as {noun}") from None
 
 
-def _unique(values: list, key: str) -> list:
+def _unique(values: list) -> list:
     """values, unless one is repeated: a batch runs each (algorithm, seed) once."""
     for i, v in enumerate(values):
         if v in values[:i]:
-            raise ConfigError(f"{key}: {v!r} given more than once")
+            raise ValueError(f"{v!r} given more than once")
     return values
 
 
-# Scalar config key -> (owner, its keyword or BS axis, type).
+# Scalar config key -> (owner, the keyword or BS axis its messages name, type).
 _SCALAR_KEYS = {
     "side": ("field", "side_m", float),
     "nodes": ("field", "node_count", int),
@@ -57,8 +57,8 @@ _SCALAR_KEYS = {
     "advanced_energy_factor": ("field", "advanced_energy_factor", float),
     "initial_energy": ("field", "initial_energy", float),
     "max_rounds": ("field", "max_rounds", int),
-    "bs_x": ("bs", 0, float),
-    "bs_y": ("bs", 1, float),
+    "bs_x": ("bs", "bs_position x", float),
+    "bs_y": ("bs", "bs_position y", float),
     "elec_energy_per_bit": ("radio", "elec_energy_per_bit", float),
     "fs_amp": ("radio", "fs_amp", float),
     "mp_amp": ("radio", "mp_amp", float),
@@ -66,23 +66,23 @@ _SCALAR_KEYS = {
     "packet_bits": ("radio", "packet_bits", int),
 }
 
+# Flag -> (the config key it overrides, argparse action, help); a list key's flag repeats.
+_FLAGS = {
+    "--algorithm": ("algorithms", "append", "algorithm name or comma list (repeatable)"),
+    "--seed": ("seeds", "append", "seed >= 0 or comma list (repeatable)"),
+    "--rounds": ("max_rounds", "store", "maximum number of rounds"),
+    "--output-dir": ("output_dir", "store", "output directory"),
+    "--format": ("formats", "append", f"{' or '.join(FORMATS)}, or comma list (repeatable)"),
+}
 
-def parse_config(path: str | Path) -> RunConfig:
-    """Read a key-value config file; unset keys keep the built-in defaults.
 
-    Lines are `key = value`; `#` and `;` start comments; `[section]` headers
-    are allowed for grouping and otherwise ignored. Unknown keys, unparsable
-    values, and out-of-range values are configuration errors naming the key
-    and line. An unset BS coordinate is the centre of the configured side.
-    """
+def _config_lines(path: str | Path):
+    """Yield (key, raw value, where) for each `key = value` line of a config file."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-
-    owners: dict[str, dict] = {"field": {}, "radio": {}, "bs": {}}
-    cfg = RunConfig()
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].split(";", 1)[0].strip()
         if not line or (line.startswith("[") and line.endswith("]")):
@@ -90,55 +90,73 @@ def parse_config(path: str | Path) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {rawline!r}")
         key, _, raw = line.partition("=")
-        key, raw = key.strip().lower(), raw.strip()
-        where = f"line {lineno}: key {key!r}"
+        key = key.strip().lower()
+        yield key, raw.strip(), f"line {lineno}: key {key!r}"
+
+
+def _build(settings) -> RunConfig:
+    """Check (key, raw value, where) settings in order, later overriding; errors name where."""
+    owners: dict[str, dict] = {"field": {}, "radio": {}, "bs": {}}
+    origins: dict[str, str] = {}   # the name a field's messages start with -> where set
+    cfg = RunConfig()
+    for key, raw, where in settings:
         values = [v.strip() for v in raw.split(",") if v.strip()]   # a list key's items
-        if key in _SCALAR_KEYS:
-            owner, name, kind = _SCALAR_KEYS[key]
-            owners[owner][name] = _parse(kind, raw, where)
-        elif key == "algorithms":
-            cfg.algorithms = _unique([v.lower() for v in values], where)
-            for name in cfg.algorithms:
-                if name not in algorithm_names():
-                    raise ConfigError(f"line {lineno}: unknown algorithm {name!r}")
-        elif key == "seeds":
-            cfg.seeds = _unique([_parse(int, v, where) for v in values], where)
-        elif key == "output_dir":
-            cfg.output_dir = Path(raw)
-        elif key == "formats":
-            cfg.formats = {v.lower() for v in values}
-            bad = cfg.formats.difference(FORMATS)
-            if bad:
-                raise ConfigError(f"line {lineno}: unknown format(s) {sorted(bad)}")
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        try:
+            if key in _SCALAR_KEYS:
+                owner, name, kind = _SCALAR_KEYS[key]
+                owners[owner][name] = _parse(kind, raw)
+                origins[name] = where
+            elif key == "output_dir":
+                cfg.output_dir = Path(raw)
+            elif key == "algorithms":
+                cfg.algorithms = _unique([algorithm(v).name for v in values])
+            elif key in ("seeds", "formats") and not values:
+                raise ValueError(f"{key} must be non-empty")
+            elif key == "seeds":
+                cfg.seeds = _unique([_parse(int, v) for v in values])
+                if min(cfg.seeds) < 0:   # random.Random(-s) would replay seed s
+                    raise ValueError(f"seeds must be integers >= 0, got {min(cfg.seeds)}")
+            elif key == "formats":
+                cfg.formats = {v.lower() for v in values}
+                if bad := cfg.formats.difference(FORMATS):
+                    raise ValueError(f"unknown format(s) {sorted(bad)}")
+            else:
+                raise ValueError("unknown key")
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
 
     side = owners["field"].get("side_m", FieldConfig.side_m)
-    owners["field"]["bs_position"] = tuple(owners["bs"].get(axis, side / 2) for axis in (0, 1))
+    owners["field"]["bs_position"] = tuple(owners["bs"].get(f"bs_position {a}", side / 2)
+                                           for a in "xy")
     try:
         cfg.field = FieldConfig(**owners["field"])
         cfg.radio = RadioParams(**owners["radio"])
     except (ValueError, ArithmeticError) as exc:   # e.g. nodes beyond the float range
-        raise ConfigError(str(exc)) from exc
-    if not cfg.seeds:
-        raise ConfigError("seeds must be non-empty")
+        where = origins.get(str(exc).partition(" must be ")[0])
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
     return cfg
+
+
+def parse_config(path: str | Path) -> RunConfig:
+    """Read a key-value config file; unset keys keep the built-in defaults.
+
+    Lines are `key = value`; `#` and `;` start comments; `[section]` headers
+    are allowed for grouping and otherwise ignored. Unknown keys, unparsable or
+    out-of-range values (a negative seed, an empty seed or format list) are
+    configuration errors naming the line and key. An unset BS coordinate is
+    the centre of the configured side.
+    """
+    return _build(_config_lines(path))
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wsnsim",
         description="Round-based LEACH/SEP clustering simulator")
-    parser.add_argument("--config", type=Path, help="config file path")
-    parser.add_argument("--algorithm", action="append", default=None,
-                        help="algorithm name (repeatable; overrides config)")
-    parser.add_argument("--seed", action="append", type=int, default=None,
-                        help="seed (repeatable; overrides config)")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="override maximum number of rounds")
-    parser.add_argument("--output-dir", type=Path, default=None)
-    parser.add_argument("--format", action="append", choices=FORMATS,
-                        default=None, help="output format (repeatable)")
+    parser.add_argument("--config", help="config file path")
+    for flag, (key, action, text) in _FLAGS.items():
+        parser.add_argument(flag, dest=key, action=action, metavar=flag[2:].upper(),
+                            help=f"{text}; overrides the config key {key!r}")
     parser.add_argument("--list-algorithms", action="store_true",
                         help="print the algorithm registry and exit")
     return parser
@@ -151,29 +169,22 @@ def main(argv: list[str] | None = None) -> int:
             print(name)
         return EXIT_OK
 
+    # Each given flag is a setting of its config key, after (so overriding) the file's.
+    flags = [(key, ",".join(raw) if isinstance(raw, list) else raw, flag)
+             for flag, (key, *_) in _FLAGS.items() if (raw := getattr(args, key)) is not None]
     try:
-        cfg = parse_config(args.config) if args.config else RunConfig()
-        if args.algorithm:
-            cfg.algorithms = _unique([a.lower() for a in args.algorithm], "--algorithm")
-        if args.seed:
-            cfg.seeds = _unique(list(args.seed), "--seed")
-        if args.rounds is not None:   # FieldConfig rejects a negative count
-            cfg.field = replace(cfg.field, max_rounds=args.rounds)
-        if args.output_dir is not None:
-            cfg.output_dir = args.output_dir
-        if args.format:
-            cfg.formats = set(args.format)
+        lines = _config_lines(args.config) if args.config is not None else ()
+        cfg = _build([*lines, *flags])
         if not cfg.algorithms:
             raise ConfigError("no algorithms selected; use --algorithm or the "
                               "'algorithms' config key (--list-algorithms to enumerate)")
-        specs = [algorithm(name) for name in cfg.algorithms]
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"wsnsim: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
         summaries = []
-        for spec in specs:
+        for spec in map(algorithm, cfg.algorithms):
             algo_dir = cfg.output_dir / spec.name
             if "csv" in cfg.formats:
                 algo_dir.mkdir(parents=True, exist_ok=True)

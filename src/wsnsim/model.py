@@ -15,14 +15,14 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+def _require(name: str, value, ok: bool, want: str) -> None:
+    if not ok:
+        raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
 def _require_int(name: str, value, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    _require(name, value, not isinstance(value, bool) and isinstance(value, numbers.Integral)
+             and value >= low, f"an integer >= {low}")
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,10 @@ class RadioParams:
         for name in ("elec_energy_per_bit", "fs_amp", "mp_amp",
                      "aggregation_energy_per_bit"):
             value = getattr(self, name)
-            _require_finite(name, value)
-            if value <= 0:
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+            _require(name, value, 0 < value < math.inf, "finite and strictly positive")
         _require_int("packet_bits", self.packet_bits, 1)
-        if not self.fs_amp > self.mp_amp:
-            raise ValueError("fs_amp must exceed mp_amp for a crossover distance > 1 m")
+        _require("fs_amp", self.fs_amp, self.fs_amp > self.mp_amp,   # crossover > 1 m
+                 f"greater than mp_amp ({self.mp_amp!r})")
 
 
 @dataclass(frozen=True)
@@ -68,35 +66,26 @@ class FieldConfig:
     def __post_init__(self) -> None:
         for name in ("side_m", "base_probability", "advanced_fraction",
                      "advanced_energy_factor", "initial_energy"):
-            _require_finite(name, getattr(self, name))
+            value = getattr(self, name)
+            _require(name, value, math.isfinite(value), "finite")
         for axis, value in zip("xy", self.bs_position):
-            _require_finite(f"bs_position {axis}", value)
+            _require(f"bs_position {axis}", value, math.isfinite(value), "finite")
         _require_int("node_count", self.node_count, 1)
         _require_int("max_rounds", self.max_rounds, 0)
-        if self.side_m <= 0:
-            raise ValueError(f"side_m must be positive, got {self.side_m!r}")
-        if not 0 < self.base_probability <= 1:
-            raise ValueError(
-                f"base_probability must be in (0, 1], got {self.base_probability!r}")
-        if not 0 <= self.advanced_fraction <= 1:
-            raise ValueError(
-                f"advanced_fraction must be in [0, 1], got {self.advanced_fraction!r}")
-        if self.advanced_energy_factor < 0:
-            raise ValueError(
-                f"advanced_energy_factor must be >= 0, got {self.advanced_energy_factor!r}")
-        if self.initial_energy <= 0:
-            raise ValueError(f"initial_energy must be positive, got {self.initial_energy!r}")
-        bx, by = self.bs_position
-        if not (0 <= bx <= self.side_m and 0 <= by <= self.side_m):
-            raise ValueError(f"bs_position {self.bs_position!r} outside the field square")
-        total = self.initial_energy * self.node_count * (1.0 + self.advanced_energy_factor)
-        if not math.isfinite(total):
-            raise ValueError("initial_energy * node_count * (1 + advanced_energy_factor) "
-                             f"must be finite, got {total!r}")
+        _require("side_m", self.side_m, self.side_m > 0, "positive")
+        p, m, a, e0 = (self.base_probability, self.advanced_fraction,
+                       self.advanced_energy_factor, self.initial_energy)
+        _require("base_probability", p, 0 < p <= 1, "in (0, 1]")
+        _require("advanced_fraction", m, 0 <= m <= 1, "in [0, 1]")
+        _require("advanced_energy_factor", a, a >= 0, ">= 0")
+        _require("initial_energy", e0, e0 > 0, "positive")
+        for axis, value in zip("xy", self.bs_position):
+            _require(f"bs_position {axis}", value, 0 <= value <= self.side_m,
+                     f"in [0, side_m = {self.side_m!r}]")
+        total = e0 * self.node_count * (1.0 + a)
+        _require("initial_energy * node_count * (1 + advanced_energy_factor)", total,
+                 math.isfinite(total), "finite")
 
-
-NORMAL = "normal"
-ADVANCED = "advanced"
 
 NodeRecord = namedtuple("NodeRecord", "id x y advanced initial_energy "
                                       "residual_energy alive eligible")

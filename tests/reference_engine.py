@@ -23,9 +23,12 @@ from wsnsim import reporting
 from wsnsim.analysis import adaptive_probability, max_clusters
 from wsnsim.election import epoch_length, leach_threshold, tier_probabilities
 from wsnsim.membership import NEAREST
-from wsnsim.model import ADVANCED, NORMAL, FieldConfig, Network, RadioParams, round_half_up
+from wsnsim.model import FieldConfig, Network, RadioParams, round_half_up
 from wsnsim.simulator import (RNG_ALGORITHM, SEP, AlgorithmSpec, RoundRecord, _config_hash,
                               algorithm)
+
+NORMAL = "normal"
+ADVANCED = "advanced"
 
 
 @dataclass

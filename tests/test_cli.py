@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from wsnsim import algorithm_names
-from wsnsim.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, ConfigError, main,
+from wsnsim.cli import (_SCALAR_KEYS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, ConfigError, main,
                         parse_config)
 
 
@@ -93,6 +94,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="too large"):
             parse_config(write_cfg(tmp_path, f"nodes = {10 ** 400}\n"))
 
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        sentence = re.search(r"Keys: (.*?)\.\s", readme, re.S).group(1)
+        assert re.findall(r"`(\w+)`", sentence) == \
+            list(_SCALAR_KEYS) + ["algorithms", "seeds", "output_dir", "formats"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no-such"):
             parse_config(tmp_path / "no-such.cfg")
@@ -155,6 +162,38 @@ class TestMain:
         err = capsys.readouterr().err
         assert f"line 2: key '{key}': {value} given more than once" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, argv, message", [
+        ("", ["--seed", "x"], "--seed: cannot parse 'x' as an integer"),
+        ("", ["--rounds", "x"], "--rounds: cannot parse 'x' as an integer"),
+        ("", ["--format", "xml"], "--format: unknown format(s) ['xml']"),
+        ("", ["--algorithm", "nope"], "--algorithm: unknown algorithm 'nope'; known: leach,"),
+        ("", ["--seed", "-2"], "--seed: seeds must be integers >= 0, got -2"),
+        ("", ["--rounds", "-1"], "--rounds: max_rounds must be an integer >= 0, got -1"),
+        ("seeds = 3, -3\n", [], "line 2: key 'seeds': seeds must be integers >= 0, got -3"),
+        ("formats =\n", [], "line 2: key 'formats': formats must be non-empty"),
+        ("", ["--format", ""], "--format: formats must be non-empty"),
+        ("nodes = 10\nmax_rounds = 5\np = 1.5\n", [],
+         "line 4: key 'p': base_probability must be in (0, 1], got 1.5"),
+        ("bs_y = -1\n", [], "line 2: key 'bs_y': bs_position y must be in [0, side_m = 100.0]"),
+    ], ids=["seed-x", "rounds-x", "format-xml", "algorithm-nope", "seed-negative",
+            "rounds-negative", "seeds-negative", "formats-empty", "format-empty", "p", "bs_y"])
+    def test_bad_value_is_config_error_naming_its_origin(self, capsys, tmp_path, text, argv,
+                                                         message):
+        cfg = write_cfg(tmp_path, f"algorithms = leach\n{text}")
+        rc = main(["--config", str(cfg), *argv, "--output-dir", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"wsnsim: configuration error: {message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_flag_values_are_comma_lists_in_any_case(self, tmp_path):
+        out = tmp_path / "out"
+        self.run_ok(["--algorithm", "LEACH", "--seed", "1,2", "--format", "CSV",
+                     "--rounds", "5", "--output-dir", str(out)])
+        assert sorted(p.name for p in (out / "leach").iterdir()) == ["seed-1.csv", "seed-2.csv"]
+        assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("module", ["wsnsim", "wsnsim.cli"])
     def test_module_entry_point(self, module):
