@@ -132,8 +132,12 @@ def _build(settings) -> RunConfig:
         cfg.field = FieldConfig(**owners["field"])
         cfg.radio = RadioParams(**owners["radio"])
     except (ValueError, ArithmeticError) as exc:   # e.g. nodes beyond the float range
-        where = origins.get(str(exc).partition(" must be ")[0])
-        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
+        # Where the first field the message names was set: a cross-field check
+        # leads with the field it bounds, which may have kept its default.
+        message = str(exc)
+        named = [(message.find(name), origin) for name, origin in origins.items()
+                 if name in message]
+        raise ConfigError(f"{min(named)[1]}: {message}" if named else message) from exc
     return cfg
 
 

@@ -1,8 +1,9 @@
 """Cluster membership: each alive non-head joins exactly one head.
 
-Two join rules: nearest head by Euclidean distance, or highest
-energy-distance ratio E_res^alpha / d^beta using the head's residual energy
-at the start of the round.
+Two join rules: nearest head, or highest energy-distance ratio
+E_res^alpha / d^beta using the head's residual energy at the start of the
+round. Both are decided on one score per member-head pair, computed from the
+squared distance d^2 = dx*dx + dy*dy in IEEE doubles (see _score).
 """
 from __future__ import annotations
 
@@ -17,14 +18,11 @@ from .model import Network
 NEAREST = "nearest"
 ENERGY_DISTANCE = "energy_distance"
 
-_DISTANCE_FLOOR = 1e-12  # co-located member/head; the ratio limit is +inf
-_NEAR_D2 = 1e-20         # d^2 below which the floor or co-location may decide
+_D2_FLOOR = 1e-24        # a 1e-12 m distance floor, squared: only co-located pairs score 0
 _BLOCK = 32768           # member x candidate entries per block; temporaries stay in cache
 _HEADS_PER_CELL = 4      # grid density: a 3x3 block holds ~36 candidate heads
-_EXACT_PAIRS = 4096      # smaller calls skip the screen: its fixed cost beats its saving
 _GRID_HEADS = 128        # fewer heads: a grid of ~30 cells prunes less than it costs
-_SCREEN_REL = 1e-9       # screen margin, far above d^2 vs hypot rounding (+ subnormals)
-_TINY = np.finfo(float).tiny
+_SLACK = 1e-9            # guard margin per unit of coordinate: covers cell and edge rounding
 _NEIGHBOURS = np.array([[-1, -1, -1, 0, 0, 0, 1, 1, 1],
                         [-1, 0, 1, -1, 0, 1, -1, 0, 1]])[:, :, None]   # 3x3 cell offsets
 
@@ -55,11 +53,13 @@ class ClusterAssignment:
 
 
 def assign_members(network: Network, heads, policy: JoinPolicy) -> ClusterAssignment:
-    """Assign every alive non-head node to a head per the join policy.
+    """Assign every alive non-head node to the head of lowest _score.
 
-    Ties go to the lower head id. Each member is scored against the heads of
-    its 3x3 block of grid cells (against all heads when there are few), in
-    blocks of member rows: O(N + H + block) memory.
+    Ties go to the lower head id. With fewer than _GRID_HEADS heads each
+    member is scored on every head; with more, on the heads of its 3x3 block
+    of grid cells, and again on every head when one outside the block could
+    win. Rows go in blocks: O(N + H + block) memory. The reported distances
+    are np.hypot of the chosen pairs.
     """
     head_ids = np.sort(np.asarray(heads, dtype=np.intp))
     joining = network.alive.copy()
@@ -71,55 +71,55 @@ def assign_members(network: Network, heads, policy: JoinPolicy) -> ClusterAssign
 
     h, m = (np.take(network.xy, ids, axis=1) for ids in (head_ids, member_ids))
     weights = None if policy.kind == NEAREST else network.e_res[head_ids] ** policy.alpha
-    if member_ids.size * head_ids.size <= _EXACT_PAIRS:
-        choice = _exact_choice(m, h, weights, policy.beta)
-    else:
-        with np.errstate(all="ignore"):   # inf/nan screen scores are re-decided
-            choice = _screened_choice(m, h, weights, policy.beta)
-    dist = np.hypot(m[0] - h[0, choice], m[1] - h[1, choice])   # no dearer than a table read-back
+    beta = policy.beta
+    with np.errstate(all="ignore"):   # a head of zero energy scores +inf
+        if head_ids.size < _GRID_HEADS:
+            choice = _all_heads(m, h, weights, beta)
+        else:
+            choice, clear = _screen(m, h, weights, beta, *_grid(m, h, weights, beta))
+            rows = np.flatnonzero(~clear)
+            choice[rows] = _all_heads(m[:, rows], h, weights, beta)
+    dist = np.hypot(m[0] - h[0, choice], m[1] - h[1, choice])
     return ClusterAssignment(member_ids, head_ids[choice], dist, member_ids[:0])
 
 
-def _screened_choice(m, h, weights, beta) -> np.ndarray:
-    """Best head per member (columns of the (2, M) `m` and (2, H) `h`) by a
-    screen score, lower wins: d^2, or d^beta / E^alpha.
+def _score(d2, weights, beta):
+    """The join score of squared distances `d2` to heads of `weights`
+    (E_res^alpha), lower wins: d^2 for the nearest join (weights None), else
+    max(d^2, _D2_FLOOR)^(beta/2) / weight, and 0 for a co-located pair.
+    Overwrites `d2`."""
+    if weights is None:
+        return d2
+    zero = d2 == 0
+    np.maximum(d2, _D2_FLOOR, out=d2)
+    if beta == 1.0:
+        np.sqrt(d2, out=d2)
+    elif beta != 2.0:
+        d2 **= beta / 2.0
+    d2 /= weights
+    d2[zero] = 0.0
+    return d2
 
-    With _GRID_HEADS heads or more, each member is screened only against the
-    heads of its 3x3 block of grid cells (see _grid). A row a head outside
-    its block could win is screened again on every head, so where the guard
-    often fails the join costs about an all-heads screen, not a full
-    np.hypot table. With fewer heads a grid prunes less than it costs, and
-    every row is screened on every head. A row whose screen is not clear is
-    decided by _exact_choice on all heads: the runner-up is within
-    _SCREEN_REL of the best (d^2 and np.hypot can order near-equal distances
-    apart), or a head is inside the distance floor.
-    """
-    n_heads = h.shape[1]
-    every = np.arange(n_heads)[None, :]   # a one-row table: all heads
 
-    def screen_all(p):
-        k = p.shape[1]
-        return _screen(p, h, weights, beta, every, np.zeros(k, dtype=np.intp),
-                       np.full(k, np.inf))
-
-    if n_heads < _GRID_HEADS:
-        choice, redo = screen_all(m)
-    else:
-        choice, redo = _screen(m, h, weights, beta, *_grid(m, h, weights, beta))
-        rows = np.flatnonzero(redo)
-        if rows.size:
-            choice[rows], redo[rows] = screen_all(m[:, rows])
-    rows = np.flatnonzero(redo)
-    step = max(1, _BLOCK // n_heads)   # the full rows are blocked too
-    for k in range(0, rows.size, step):
-        r = rows[k:k + step]
-        choice[r] = _exact_choice(m[:, r], h, weights, beta)
+def _all_heads(m, h, weights, beta) -> np.ndarray:
+    """Best head index per member (columns of the (2, M) `m`) on every head
+    (columns of the (2, H) `h`), in blocks of member rows."""
+    hx, hy = h
+    step = max(1, _BLOCK // h.shape[1])
+    buf = np.empty((2, min(step, m.shape[1]), h.shape[1]))   # shared: fresh blocks page-fault
+    choice = np.empty(m.shape[1], dtype=np.intp)
+    for lo in range(0, m.shape[1], step):
+        mx, my = m[:, lo:lo + step, None]
+        d2, dy2 = buf[:, :len(mx)]
+        np.square(np.subtract(mx, hx, out=d2), out=d2)
+        d2 += np.square(np.subtract(my, hy, out=dy2), out=dy2)
+        choice[lo:lo + step] = _score(d2, weights, beta).argmin(axis=1)
     return choice
 
 
 def _grid(m, h, weights, beta):
     """A candidate table of heads per grid cell, each member's row in it, and
-    a lower bound per member on the screen score of every head not in its row.
+    a lower bound per member on the score of every head not in its row.
 
     The heads are binned on a uniform grid over their bounding box, and row c
     of the table lists the heads of the 3x3 block of cells around cell c. A
@@ -157,24 +157,23 @@ def _grid(m, h, weights, beta):
     # a grid edge. A member outside the heads' box keeps a finite gap, and its
     # row usually fails the guard because its best head is far. The slack
     # covers rounding in the cell and edge arithmetic.
-    slack = _SCREEN_REL * max(np.abs(h).max(), np.abs(m).max())
+    slack = _SLACK * max(np.abs(h).max(), np.abs(m).max())
     i = cell_of(m)
     below = np.where(i >= 2, m - (origin + (i - 1) * size), np.inf)
     above = np.where(i <= n - 3, origin + (i + 2) * size - m, np.inf)
     gap = np.maximum(np.minimum(below, above).min(axis=0) - slack, 0.0)
     member_cell = i[0] * shape[1] + i[1]
-    # For the energy-distance join the bound is divided by the largest head
-    # weight, so it is loose once head energies spread apart late in a run.
-    guard = gap * gap if weights is None else gap ** beta / weights.max()
+    # For the energy-distance join the bound takes the largest head weight,
+    # so it is loose once head energies spread apart late in a run.
+    guard = _score(gap * gap, None if weights is None else weights.max(), beta)
     return table, member_cell, guard
 
 
 def _screen(m, h, weights, beta, table, member_row, guard):
-    """Screen each member against the heads of its `table` row; returns the
-    best head index per member and whether the row must be re-decided: the
-    runner-up is within _SCREEN_REL of the best, a head is inside the
-    distance floor, or `guard` (a lower bound on every other head's score)
-    does not clear the best. Rows go in blocks through one reused buffer."""
+    """Score each member on the heads of its `table` row; returns the best
+    head index per member and whether that best is strictly below `guard`
+    (a lower bound on every other head's score). Rows go in blocks through
+    one reused buffer."""
     tx, ty = np.append(h, [[np.inf], [np.inf]], axis=1)[:, table]
     tw = None if weights is None else np.append(weights, 1.0)[table]
     mx, my = m
@@ -183,36 +182,18 @@ def _screen(m, h, weights, beta, table, member_row, guard):
     buf = np.empty((2, min(rows, len(mx)), width))   # shared: fresh blocks page-fault
     row = np.arange(rows)
     choice = np.empty(len(mx), dtype=np.intp)
-    redo = np.empty(len(mx), dtype=bool)
+    clear = np.empty(len(mx), dtype=bool)
     for lo in range(0, len(mx), rows):   # mode="clip": np.take fills `out` unbuffered
         part = slice(lo, lo + rows)
         c = member_row[part]
-        r = row[:len(c)]
         d2, dy2 = buf[:, :len(c)]
         np.take(tx, c, axis=0, out=d2, mode="clip")
         np.square(np.subtract(d2, mx[part, None], out=d2), out=d2)
         np.take(ty, c, axis=0, out=dy2, mode="clip")
         d2 += np.square(np.subtract(dy2, my[part, None], out=dy2), out=dy2)
-        near = weights is not None and d2.min(axis=1) <= _NEAR_D2
-        if weights is not None:
-            if beta != 2.0:
-                d2 **= beta / 2.0
-            d2 /= np.take(tw, c, axis=0, out=dy2, mode="clip")
-        col = d2.argmin(axis=1)
-        best = d2[r, col]
-        d2[r, col] = np.inf
-        margin = best * (1.0 + _SCREEN_REL) + _TINY
+        w = None if tw is None else np.take(tw, c, axis=0, out=dy2, mode="clip")
+        score = _score(d2, w, beta)
+        col = score.argmin(axis=1)
         choice[part] = table[c, col]
-        redo[part] = near | ~(d2.min(axis=1) > margin) | ~(guard[part] > margin)  # nan too
-    return choice, redo
-
-
-def _exact_choice(m, h, weights, beta) -> np.ndarray:
-    """The join rule on full np.hypot distances; first occurrence wins ties."""
-    dist = np.hypot(m[0, :, None] - h[0], m[1, :, None] - h[1])
-    if weights is None:
-        return np.argmin(dist, axis=1)
-    ratio = weights / np.maximum(dist, _DISTANCE_FLOOR) ** beta
-    # A member sitting on a head joins it outright, whatever that head's energy.
-    ratio[dist <= 0] = np.inf
-    return np.argmax(ratio, axis=1)
+        clear[part] = score[row[:len(c)], col] < guard[part]
+    return choice, clear

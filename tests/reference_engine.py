@@ -4,9 +4,10 @@ step per node.
 This is the engine wsnsim ran before its state became arrays, kept as a test
 oracle. It shares only scalar pieces with the package (the config types, the
 closed-form analysis, the registry, `tier_probabilities` and reporting), and it
-joins members with a full member x head `np.hypot` table instead of the
-package's screened join. Every float total is a left-to-right loop, the
-order the package's `np.cumsum` totals reproduce on every Python version.
+joins members on a full member x head table of squared distances instead of
+the package's blocked and grid-pruned join. Every float total is a
+left-to-right loop, the order the package's `np.cumsum` totals reproduce on
+every Python version.
 
 `network_of` turns a list of `Node`s into the package's `Network`, so unit
 tests can describe small fields node by node.
@@ -148,8 +149,11 @@ def elect_cluster_heads(nodes: list[Node], tier_probs: dict[str, float], round_n
 
 def full_table_assign(nodes: list[Node], heads: list[int], policy
                       ) -> tuple[dict[int, int], list[int], list[float]]:
-    """(member -> head, unassigned, member distances) from the full np.hypot
-    table: ties to the lower head id, a co-located member joins that head."""
+    """(member -> head, unassigned, member distances) from the full table of
+    squared distances d2 = dx*dx + dy*dy: the nearest join takes the lowest
+    d2, the energy-distance join the lowest max(d2, 1e-24)^(beta/2) / E^alpha
+    (sqrt for beta 1), a co-located member (d2 = 0) joins that head, and ties
+    go to the lower head id. The distances are np.hypot of the chosen pairs."""
     head_ids = sorted(heads)
     head_set = set(head_ids)
     member_ids = [n.id for n in nodes if n.alive and n.id not in head_set]
@@ -162,15 +166,19 @@ def full_table_assign(nodes: list[Node], heads: list[int], policy
     hy = np.array([by_id[h].y for h in head_ids])
     mx = np.array([by_id[m].x for m in member_ids])
     my = np.array([by_id[m].y for m in member_ids])
-    dist = np.hypot(mx[:, None] - hx[None, :], my[:, None] - hy[None, :])
+    dx, dy = mx[:, None] - hx[None, :], my[:, None] - hy[None, :]
+    d2 = dx * dx + dy * dy
     if policy.kind == NEAREST:
-        choice = np.argmin(dist, axis=1)   # first occurrence -> lowest head id
+        choice = np.argmin(d2, axis=1)   # first occurrence -> lowest head id
     else:
         energies = np.array([by_id[h].residual_energy for h in head_ids])
-        safe = np.maximum(dist, 1e-12)
-        ratio = energies[None, :] ** policy.alpha / safe ** policy.beta
-        ratio[dist <= 0] = np.inf
-        choice = np.argmax(ratio, axis=1)
+        floored = np.maximum(d2, 1e-24)
+        scaled = np.sqrt(floored) if policy.beta == 1.0 else floored ** (policy.beta / 2.0)
+        with np.errstate(divide="ignore"):   # a head of zero energy scores +inf
+            score = scaled / energies[None, :] ** policy.alpha
+        score[d2 == 0] = 0.0
+        choice = np.argmin(score, axis=1)
+    dist = np.hypot(dx, dy)
     members = {m: head_ids[c] for m, c in zip(member_ids, choice)}
     return members, [], [float(dist[i, c]) for i, c in enumerate(choice)]
 

@@ -176,8 +176,11 @@ class TestMain:
         ("nodes = 10\nmax_rounds = 5\np = 1.5\n", [],
          "line 4: key 'p': base_probability must be in (0, 1], got 1.5"),
         ("bs_y = -1\n", [], "line 2: key 'bs_y': bs_position y must be in [0, side_m = 100.0]"),
+        ("mp_amp = 1\n", [],   # fs_amp keeps its default: the message names mp_amp's line
+         "line 2: key 'mp_amp': fs_amp must be greater than mp_amp (1.0), got 1e-11"),
     ], ids=["seed-x", "rounds-x", "format-xml", "algorithm-nope", "seed-negative",
-            "rounds-negative", "seeds-negative", "formats-empty", "format-empty", "p", "bs_y"])
+            "rounds-negative", "seeds-negative", "formats-empty", "format-empty", "p", "bs_y",
+            "mp_amp"])
     def test_bad_value_is_config_error_naming_its_origin(self, capsys, tmp_path, text, argv,
                                                          message):
         cfg = write_cfg(tmp_path, f"algorithms = leach\n{text}")

@@ -134,8 +134,9 @@ class TestAssignMembers:
         assert same_assignment(assign(nodes, heads, policy), assign(nodes, heads, policy))
 
     def test_brute_force_oracle_small_instances(self):
-        # Exhaustive pairwise ratio evaluation, no vectorization, as an
-        # independent check.
+        # Exhaustive pairwise scores in Python floats, no vectorization: the
+        # package's numpy arithmetic must decide bit for bit as
+        # dx*dx + dy*dy and math.sqrt do, with no fused or reordered operation.
         rng = random.Random(24)
         for _ in range(100):
             n = rng.randrange(2, 11)
@@ -145,20 +146,21 @@ class TestAssignMembers:
                                  JoinPolicy(ENERGY_DISTANCE, alpha, beta))
             by_id = {x.id: x for x in nodes}
             for m in (x for x in nodes if x.alive and x.id not in set(heads)):
-                best, best_ratio = None, -1.0
+                best, best_score = None, math.inf
                 for h in sorted(heads):
-                    d = math.hypot(m.x - by_id[h].x, m.y - by_id[h].y)
-                    if d == 0:
-                        ratio = math.inf
-                    else:
-                        ratio = by_id[h].residual_energy ** alpha / d ** beta
-                    if ratio > best_ratio:
-                        best, best_ratio = h, ratio
+                    dx, dy = m.x - by_id[h].x, m.y - by_id[h].y
+                    d2 = dx * dx + dy * dy
+                    floored = max(d2, 1e-24)
+                    scaled = math.sqrt(floored) if beta == 1 else floored
+                    energy = by_id[h].residual_energy ** alpha
+                    score = 0.0 if d2 == 0 else scaled / energy if energy else math.inf
+                    if score < best_score:   # strict: ties keep the lower head id
+                        best, best_score = h, score
                 assert out.members[m.id] == best
 
 
 def reference_assign(nodes, heads, policy):
-    """Full-table np.hypot assignment: the pre-blocking fallback, verbatim."""
+    """The join rule on a full member x head table, unblocked and unpruned."""
     members, unassigned, distances = full_table_assign(list(nodes), heads, policy)
     return ClusterAssignment(np.array(list(members), dtype=np.intp),
                              np.array(list(members.values()), dtype=np.intp),
@@ -230,16 +232,15 @@ def oracle_instance(rng, kind, n_max=40):
 
 
 class TestAssignMembersOracle:
-    """Both screens, grid and all-heads, must decide exactly as the full np.hypot table."""
+    """Both paths, grid and all-heads, must decide exactly as the full table."""
 
     @pytest.mark.parametrize("kind", ["random", "lattice", "ring", "colocated",
                                       "zero-energy", "dead", "corner", "edges",
                                       "energy-span", "strong-head", "far-head"])
     @pytest.mark.parametrize("block", [None, 7])
     def test_matches_full_table(self, kind, block, monkeypatch):
-        # Every size goes through the grid screen, not the small-call path
-        # or the all-heads screen of calls with few heads.
-        monkeypatch.setattr(membership, "_EXACT_PAIRS", 0)
+        # Every size goes through the grid screen, not the all-heads path
+        # of calls with few heads.
         monkeypatch.setattr(membership, "_GRID_HEADS", 0)
         if block is not None:   # many blocks per call, and a grid of many cells
             monkeypatch.setattr(membership, "_BLOCK", block)
@@ -249,10 +250,9 @@ class TestAssignMembersOracle:
     @pytest.mark.parametrize("kind", ["random", "lattice", "ring", "colocated",
                                       "zero-energy", "strong-head"])
     def test_all_heads_screen_matches_full_table(self, kind, monkeypatch):
-        # Fewer heads than _GRID_HEADS: every row is screened on all heads,
+        # Fewer heads than _GRID_HEADS: every row is scored on all heads,
         # in blocks of a few rows.
         assert 40 < membership._GRID_HEADS   # oracle_instance has at most 40 nodes
-        monkeypatch.setattr(membership, "_EXACT_PAIRS", 0)
         monkeypatch.setattr(membership, "_BLOCK", 7)
         self.check(random.Random(f"all-heads-{kind}"), kind)
 
@@ -276,39 +276,34 @@ class TestAssignMembersOracle:
             assert same_assignment(assign_members(net, heads, policy),
                                    reference_assign(nodes, heads, policy))
 
-    def test_hypot_order_beats_squared_distance_order(self):
+    def test_squared_distance_order_beats_hypot_order(self):
         # d^2 ranks head 1 nearer, np.hypot ranks head 0 nearer; the
-        # decision must follow np.hypot.
+        # decision follows d^2, and the reported distance is np.hypot's.
         nodes = [node(0, 7.736670605309533, 28.18991754207212),
                  node(1, 28.52235084173048, -6.403360488456255),
                  node(2, 0.0, 0.0)]
-        dx2 = [nodes[h].x ** 2 + nodes[h].y ** 2 for h in (0, 1)]
+        dx2 = [nodes[h].x * nodes[h].x + nodes[h].y * nodes[h].y for h in (0, 1)]
         dist = [float(np.hypot(nodes[h].x, nodes[h].y)) for h in (0, 1)]
         assert dx2[1] < dx2[0] and dist[0] < dist[1]
         for policy in ORACLE_POLICIES:
             out = assign(nodes, [0, 1], policy)
-            assert out.members == {2: 0}
-            assert out.distances.tolist() == [dist[0]]
+            assert out.members == {2: 1}
+            assert out.distances.tolist() == [dist[1]]
 
 
 class TestGridPruning:
-    """The 3x3 block settles almost every row; few are screened again on all heads."""
+    """The 3x3 block settles almost every row; few are scored again on all heads."""
 
     @staticmethod
     def count_rows(network, heads, policy, monkeypatch):
-        """Rows screened on all heads after the grid's first pass, and rows
-        decided by _exact_choice."""
-        screened, exact = [], []
-        screen, exact_choice = membership._screen, membership._exact_choice
-
-        def counting(fn, rows):
-            return lambda m, *args: (rows.append(m.shape[1]), fn(m, *args))[1]
-
-        monkeypatch.setattr(membership, "_screen", counting(screen, screened))
-        monkeypatch.setattr(membership, "_exact_choice", counting(exact_choice, exact))
+        """Rows sent to the all-heads path after the grid's pass."""
+        rows = []
+        all_heads = membership._all_heads
+        monkeypatch.setattr(membership, "_all_heads",
+                            lambda m, *args: (rows.append(m.shape[1]), all_heads(m, *args))[1])
         out = assign_members(network, heads, policy)
         assert same_assignment(out, reference_assign(network, heads, policy))
-        return sum(screened) - len(out.members), sum(exact)
+        return sum(rows)
 
     @pytest.mark.parametrize("policy", [JoinPolicy(NEAREST),
                                         JoinPolicy(ENERGY_DISTANCE, alpha=1.0, beta=1.0),
@@ -318,18 +313,16 @@ class TestGridPruning:
         # 1.0 J advanced heads, as on a large field's early rounds.
         network = deploy_field(FieldConfig(node_count=5000), random.Random(26))
         heads = random.Random(27).sample(range(5000), 500)
-        screened, exact = self.count_rows(network, heads, policy, monkeypatch)
-        assert screened + exact < 0.02 * 4500
+        assert self.count_rows(network, heads, policy, monkeypatch) < 0.02 * 4500
 
     def test_guard_failures_are_screened_not_tabled(self, monkeypatch):
         # One head ten times stronger than the rest, as head energies spread
         # late in a lifetime run: its weight bounds every guard, and most rows
-        # fail it. They are screened on all heads; the full np.hypot rule
-        # decides only near ties.
+        # fail it. They are scored on all heads, in blocks of rows.
         network = deploy_field(FieldConfig(node_count=5000), random.Random(26))
         heads = random.Random(27).sample(range(5000), 500)
         network.e_res[heads] = 0.05
         network.e_res[heads[0]] = 0.5
         policy = JoinPolicy(ENERGY_DISTANCE, alpha=1.0, beta=1.0)
-        screened, exact = self.count_rows(network, heads, policy, monkeypatch)
-        assert screened > 0.5 * 4500 and exact < 0.02 * 4500, (screened, exact)
+        rows = self.count_rows(network, heads, policy, monkeypatch)
+        assert rows > 0.5 * 4500, rows

@@ -53,3 +53,28 @@ def test_traced_cli_run_gives_finite_layer_metrics(tracing, tmp_path):
     calls = [tracer.names[i] for i in tracer.name]
     assert calls.count("simulator.run_round") == 2 * ROUNDS
     assert calls.count("simulator.learning_update") == ROUNDS
+
+
+def test_traced_cli_run_checks_grid_joins(tracing, tmp_path, monkeypatch):
+    # 2 000 nodes elect more than _GRID_HEADS heads, so the tracer's
+    # brute-force check of round 0 meets the grid path of both joins. The
+    # lower multipath amplifier raises the capped algorithm's cap above it.
+    import wsnsim.cli as cli
+    from wsnsim import membership
+    grid_calls = []
+    screen = membership._screen
+    monkeypatch.setattr(membership, "_screen", lambda m, h, *args: (
+        grid_calls.append(h.shape[1]), screen(m, h, *args))[1])
+    config = tmp_path / "run.cfg"
+    config.write_text("nodes = 2000\nmax_rounds = 2\nmp_amp = 0.0005e-12\n"
+                      "algorithms = leach, sep-kef-1-2-p\nseeds = 1\n"
+                      f"output_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = tracer.call(tracing.CLI_MAIN, cli.main, ["--config", str(config)])
+    finally:
+        tracer.uninstall()
+    assert code == cli.EXIT_OK
+    assert not tracer.failures
+    assert len(grid_calls) == 4 and min(grid_calls) >= membership._GRID_HEADS
