@@ -35,15 +35,16 @@ def optimal_distance(radio: RadioParams, side_m: float, node_count: int,
     """Cluster radius minimizing total_energy (closed form)."""
     if bs_distance <= 0:
         raise ValueError(f"bs_distance must be positive, got {bs_distance!r}")
-    return ((radio.mp_amp * side_m ** 2 / (2 * math.pi * node_count * radio.fs_amp)) ** 0.25
-            * bs_distance)
+    ratio = radio.mp_amp * (side_m * side_m) / (2 * math.pi * node_count * radio.fs_amp)
+    return math.sqrt(math.sqrt(ratio)) * bs_distance
 
 
 def max_clusters(radio: RadioParams, side_m: float, node_count: int,
                  bs_distance: float) -> float:
-    """Maximum number of cluster-heads per round, kappa = M^2 / (2*pi*d_opt^2)."""
+    """Maximum cluster-heads per round, kappa = M^2 / (2*pi*d_opt^2); +inf if d_opt^2 is 0."""
     d_opt = optimal_distance(radio, side_m, node_count, bs_distance)
-    return side_m ** 2 / (2 * math.pi * d_opt ** 2)
+    d_opt2 = d_opt * d_opt
+    return side_m * side_m / (2 * math.pi * d_opt2) if d_opt2 > 0 else math.inf
 
 
 def adaptive_probability(kappa_max: float, alive_count: int) -> float:

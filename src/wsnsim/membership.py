@@ -3,7 +3,7 @@
 Two join rules: nearest head, or highest energy-distance ratio
 E_res^alpha / d^beta using the head's residual energy at the start of the
 round. Both are decided on one score per member-head pair, computed from the
-squared distance d^2 = dx*dx + dy*dy in IEEE doubles (see _score).
+squared distance d^2 = dx*dx + dy*dy in IEEE doubles (see _score), which the charge reads.
 """
 from __future__ import annotations
 
@@ -36,11 +36,11 @@ class JoinPolicy:
 
 @dataclass(frozen=True, eq=False)
 class ClusterAssignment:
-    """Each member's head and distance, as arrays over the members in id order."""
+    """Each member's head and squared distance, as arrays over the members in id order."""
 
     member_ids: np.ndarray      # alive non-heads, ascending
     head_ids: np.ndarray        # the head each member joined
-    distances: np.ndarray       # member-to-head distances
+    d2: np.ndarray              # member-to-head squared distances, m^2
     unassigned_ids: np.ndarray  # direct-to-BS fallback (no heads this round)
 
     @cached_property
@@ -58,8 +58,8 @@ def assign_members(network: Network, heads, policy: JoinPolicy) -> ClusterAssign
     Ties go to the lower head id. With fewer than _GRID_HEADS heads each
     member is scored on every head; with more, on the heads of its 3x3 block
     of grid cells, and again on every head when one outside the block could
-    win. Rows go in blocks: O(N + H + block) memory. The reported distances
-    are np.hypot of the chosen pairs.
+    win. Rows go in blocks: O(N + H + block) memory. The reported d2 is
+    dx*dx + dy*dy of the chosen pairs, the value the nearest join scored.
     """
     head_ids = np.sort(np.asarray(heads, dtype=np.intp))
     joining = network.alive.copy()
@@ -79,8 +79,8 @@ def assign_members(network: Network, heads, policy: JoinPolicy) -> ClusterAssign
             choice, clear = _screen(m, h, weights, beta, *_grid(m, h, weights, beta))
             rows = np.flatnonzero(~clear)
             choice[rows] = _all_heads(m[:, rows], h, weights, beta)
-    dist = np.hypot(m[0] - h[0, choice], m[1] - h[1, choice])
-    return ClusterAssignment(member_ids, head_ids[choice], dist, member_ids[:0])
+    dx, dy = m[0] - h[0, choice], m[1] - h[1, choice]
+    return ClusterAssignment(member_ids, head_ids[choice], dx * dx + dy * dy, member_ids[:0])
 
 
 def _score(d2, weights, beta):

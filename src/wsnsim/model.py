@@ -123,16 +123,13 @@ def ordered_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
-def tx_energies(params: RadioParams, bits: int, distances: np.ndarray) -> np.ndarray:
-    """Energy to transmit `bits` over each of `distances`: free-space (d^2) up
-    to the crossover distance sqrt(fs_amp / mp_amp), multipath (d^4) beyond.
-    The powers are Python's `**`: numpy's d*d and np.power differ from it in
-    some last bits."""
-    far = distances > math.sqrt(params.fs_amp / params.mp_amp)
-    powers = np.fromiter(map(pow, distances.tolist(), np.where(far, 4.0, 2.0).tolist()),
-                         float, distances.size)
+def tx_energies(params: RadioParams, bits: int, d2: np.ndarray) -> np.ndarray:
+    """Energy to send `bits` over each squared distance `d2`: fs_amp * d2 up to
+    the crossover d2 = fs_amp / mp_amp, mp_amp * d2 * d2 beyond (only those d2
+    are squared). IEEE `*` and `+` only, so the bits are alike on every platform."""
+    far = d2 > params.fs_amp / params.mp_amp
     amp = np.where(far, bits * params.mp_amp, bits * params.fs_amp)
-    return bits * params.elec_energy_per_bit + amp * powers
+    return bits * params.elec_energy_per_bit + amp * (d2 * np.where(far, d2, 1.0))
 
 
 def rx_energy(params: RadioParams, bits: int) -> float:

@@ -72,18 +72,12 @@ def write_round_csv(summary: SimulationSummary, sink: str | Path) -> None:
         raise OSError(f"failed to write round CSV to {sink}: {exc}") from exc
 
 
+_JSON_FIELDS = ("algorithm", "seed", "first_death_round", "half_death_round",
+                "last_death_round", "rounds_executed", "metadata")
+
+
 def summary_json_text(summaries: list[SimulationSummary]) -> str:
-    payload = []
-    for s in summaries:
-        payload.append({
-            "algorithm": s.algorithm,
-            "seed": s.seed,
-            "first_death_round": s.first_death_round,
-            "half_death_round": s.half_death_round,
-            "last_death_round": s.last_death_round,
-            "rounds_executed": s.rounds_executed,
-            "metadata": s.metadata,
-        })
+    payload = [{name: getattr(s, name) for name in _JSON_FIELDS} for s in summaries]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -12,7 +12,7 @@ from . import reporting
 from .analysis import adaptive_probability, max_clusters, representative_bs_distance
 from .election import elect_cluster_heads, refresh_epoch, tier_probabilities
 from .membership import ENERGY_DISTANCE, NEAREST, JoinPolicy, assign_members
-from .model import (FieldConfig, Network, RadioParams, aggregation_energy,
+from .model import (FieldConfig, Network, RadioParams, _require, aggregation_energy,
                     deploy_field, ordered_sum, round_half_up, rx_energy,
                     tx_energies)
 
@@ -93,17 +93,17 @@ class SimulationState:
     round: int
     kappa_max_raw: float
     p_effective: float
-    bs_dist: np.ndarray           # each node's np.hypot distance to the BS, m
+    bs_dist: np.ndarray           # each node's sqrt(dx*dx + dy*dy) to the BS, m
     uplink: np.ndarray            # each node's cost of one packet over bs_dist, J
     cumulative_consumed: float = 0.0
 
 
 def _geometry_caches(network: Network, bs: tuple[float, float],
                      radio: RadioParams) -> tuple[np.ndarray, np.ndarray]:
-    """Set-up: each node's np.hypot distance to the BS, which both the uplink
-    costs and the kappa mean read, and its cost of one packet over it."""
-    dist = np.hypot(network.xy[0] - bs[0], network.xy[1] - bs[1])
-    return dist, tx_energies(radio, radio.packet_bits, dist)
+    """Set-up: each node's distance sqrt(dx*dx + dy*dy) to the BS, which the
+    kappa mean reads, and its cost of one packet over the squared distance."""
+    d2 = np.square(network.xy[0] - bs[0]) + np.square(network.xy[1] - bs[1])
+    return np.sqrt(d2), tx_energies(radio, radio.packet_bits, d2)
 
 
 def learning_update(state: SimulationState, radio: RadioParams,
@@ -152,7 +152,7 @@ def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
                  + state.uplink[heads])
     headless = assignment.unassigned_ids
     charged = np.concatenate((assignment.member_ids, heads, headless))
-    cost = np.concatenate((tx_energies(radio, l, assignment.distances), head_cost,
+    cost = np.concatenate((tx_energies(radio, l, assignment.d2), head_cost,
                            state.uplink[headless]))
     residual = net.e_res[charged]
     drawn = np.minimum(cost, residual)
@@ -189,11 +189,19 @@ def run_simulation(field: FieldConfig, radio: RadioParams,
     """Deploy a field and run rounds until max_rounds or total extinction."""
     if isinstance(algo, str):
         algo = algorithm(algo)
+    diag = 2.0 * field.side_m * field.side_m   # range check: no d^2 of the run exceeds it
+    with np.errstate(over="ignore"):
+        worst = tx_energies(radio, radio.packet_bits, np.array(diag))
+    _require("side_m", field.side_m, diag > 0 and worst < np.inf,
+             "such that the diagonal's d^2 = 2 * side_m^2 is positive and its uplink finite")
+    _require("fs_amp / mp_amp", ratio := radio.fs_amp / radio.mp_amp, ratio < np.inf, "finite")
     rng = random.Random(seed)
     network = deploy_field(field, rng)
     bs_dist, uplink = _geometry_caches(network, field.bs_position, radio)
     kappa = max_clusters(radio, field.side_m, field.node_count,
                          representative_bs_distance(bs_dist, network.alive))
+    _require("kappa of side_m, node_count, fs_amp and mp_amp", kappa,
+             0 < kappa < np.inf, "finite and positive")
     state = SimulationState(network=network, round=0, kappa_max_raw=kappa,
                             p_effective=field.base_probability, bs_dist=bs_dist,
                             uplink=uplink)

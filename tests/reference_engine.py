@@ -50,8 +50,9 @@ class Node:
         if self.residual_energy < 0:
             self.residual_energy = self.initial_energy
 
-    def distance_to(self, x: float, y: float) -> float:
-        return math.hypot(self.x - x, self.y - y)
+    def d2_to(self, x: float, y: float) -> float:
+        dx, dy = self.x - x, self.y - y
+        return dx * dx + dy * dy
 
     def drain(self, amount: float) -> float:
         """Subtract energy, clamped at zero. Returns the amount actually drawn."""
@@ -82,10 +83,11 @@ def ordered_sum(values) -> float:
     return total
 
 
-def tx_energy(radio: RadioParams, bits: int, distance: float) -> float:
-    if distance <= math.sqrt(radio.fs_amp / radio.mp_amp):
-        return bits * radio.elec_energy_per_bit + bits * radio.fs_amp * distance ** 2
-    return bits * radio.elec_energy_per_bit + bits * radio.mp_amp * distance ** 4
+def tx_energy(radio: RadioParams, bits: int, d2: float) -> float:
+    """Energy to send `bits` over squared distance `d2`, in Python floats."""
+    if d2 <= radio.fs_amp / radio.mp_amp:
+        return bits * radio.elec_energy_per_bit + bits * radio.fs_amp * d2
+    return bits * radio.elec_energy_per_bit + bits * radio.mp_amp * (d2 * d2)
 
 
 def deploy_field(config: FieldConfig, rng: random.Random) -> list[Node]:
@@ -106,7 +108,7 @@ def representative_bs_distance(nodes: list[Node], bs: tuple[float, float]) -> fl
     alive = [n for n in nodes if n.alive]
     if not alive:
         raise ValueError("no alive nodes")
-    return ordered_sum(float(np.hypot(n.x - bs[0], n.y - bs[1])) for n in alive) / len(alive)
+    return ordered_sum(math.sqrt(n.d2_to(*bs)) for n in alive) / len(alive)
 
 
 def refresh_epoch(nodes: list[Node], tier_probs: dict[str, float], round_no: int) -> None:
@@ -149,11 +151,11 @@ def elect_cluster_heads(nodes: list[Node], tier_probs: dict[str, float], round_n
 
 def full_table_assign(nodes: list[Node], heads: list[int], policy
                       ) -> tuple[dict[int, int], list[int], list[float]]:
-    """(member -> head, unassigned, member distances) from the full table of
+    """(member -> head, unassigned, member d2) from the full table of
     squared distances d2 = dx*dx + dy*dy: the nearest join takes the lowest
     d2, the energy-distance join the lowest max(d2, 1e-24)^(beta/2) / E^alpha
     (sqrt for beta 1), a co-located member (d2 = 0) joins that head, and ties
-    go to the lower head id. The distances are np.hypot of the chosen pairs."""
+    go to the lower head id. The reported d2 are the chosen pairs' entries."""
     head_ids = sorted(heads)
     head_set = set(head_ids)
     member_ids = [n.id for n in nodes if n.alive and n.id not in head_set]
@@ -178,9 +180,8 @@ def full_table_assign(nodes: list[Node], heads: list[int], policy
             score = scaled / energies[None, :] ** policy.alpha
         score[d2 == 0] = 0.0
         choice = np.argmin(score, axis=1)
-    dist = np.hypot(dx, dy)
     members = {m: head_ids[c] for m, c in zip(member_ids, choice)}
-    return members, [], [float(dist[i, c]) for i, c in enumerate(choice)]
+    return members, [], [float(d2[i, c]) for i, c in enumerate(choice)]
 
 
 @dataclass
@@ -214,25 +215,23 @@ def run_round(state: State, algo: AlgorithmSpec, radio: RadioParams,
     heads = elect_cluster_heads(nodes, tier_probs, state.round, rng,
                                 algo.energy_weighted, algo.adaptive_p,
                                 cap)
-    members, unassigned, distances = full_table_assign(nodes, heads, algo.join)
+    members, unassigned, member_d2 = full_table_assign(nodes, heads, algo.join)
 
     l = radio.packet_bits
     bs = field.bs_position
     consumed = 0.0
     member_counts = dict.fromkeys(heads, 0)
-    for (mid, hid), d in zip(members.items(), distances):
-        consumed += nodes[mid].drain(tx_energy(radio, l, d))
+    for (mid, hid), d2 in zip(members.items(), member_d2):
+        consumed += nodes[mid].drain(tx_energy(radio, l, d2))
         member_counts[hid] += 1
     for hid in heads:
         mc = member_counts[hid]
         cost = (mc * (l * radio.elec_energy_per_bit)
                 + l * radio.aggregation_energy_per_bit * (mc + 1)
-                + tx_energy(radio, l, float(np.hypot(nodes[hid].x - bs[0],
-                                                     nodes[hid].y - bs[1]))))
+                + tx_energy(radio, l, nodes[hid].d2_to(*bs)))
         consumed += nodes[hid].drain(cost)
     for uid in unassigned:
-        consumed += nodes[uid].drain(tx_energy(
-            radio, l, float(np.hypot(nodes[uid].x - bs[0], nodes[uid].y - bs[1]))))
+        consumed += nodes[uid].drain(tx_energy(radio, l, nodes[uid].d2_to(*bs)))
 
     state.cumulative_consumed += consumed
     alive = sum(n.alive for n in nodes)

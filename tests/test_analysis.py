@@ -121,6 +121,11 @@ class TestMaxClusters:
         assert kappa == pytest.approx(GOLDEN_KAPPA_MAX, rel=1e-12)
         assert cap(kappa) == 14
 
+    def test_infinite_where_d_opt_squared_underflows(self, inputs):
+        radio, _, n, _ = inputs
+        assert 0 < optimal_distance(radio, 1e-100, n, 1e-120) < 1e-170
+        assert max_clusters(radio, 1e-100, n, 1e-120) == math.inf
+
     def test_identity_with_optimal_distance(self, inputs):
         rng = random.Random(23)
         for _ in range(50):

@@ -11,6 +11,16 @@ from wsnsim import algorithm_names
 from wsnsim.cli import (_SCALAR_KEYS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, ConfigError, main,
                         parse_config)
 
+# Settings that pass validation but whose arithmetic leaves the float range,
+# each with the part of its one-line runtime error that names the settings.
+OUT_OF_RANGE = {
+    "side = 1e100": "side_m",                       # the diagonal's d^2 * d^2 overflows
+    "side = 1e-200\nbs_x = 0": "side_m",            # the diagonal's d^2 underflows to 0
+    "fs_amp = 1e100\nmp_amp = 1e-300": "fs_amp / mp_amp",   # the crossover d^2 overflows
+    "side = 1e80": "side_m",                        # d^2 is finite, d^2 * d^2 is not
+    "side = 1e-155": "kappa of side_m, node_count, fs_amp and mp_amp",   # d_opt^2 underflows
+}
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -280,15 +290,19 @@ class TestMain:
         lines = (out / "leach" / "seed-3.csv").read_text().splitlines()
         assert len(lines) == 16
 
-    @pytest.mark.parametrize("text", ["side = 1e100",                  # OverflowError in pow
-                                      "side = 1e-200\nbs_x = 0",       # ZeroDivisionError
-                                      "fs_amp = 1e100\nmp_amp = 1e-300"])
+    @pytest.mark.parametrize("text", list(OUT_OF_RANGE))
     def test_float_overflow_is_one_line_runtime_error(self, capsys, tmp_path, text):
         cfg = write_cfg(tmp_path, f"{text}\nalgorithms = leach\n")
         rc = main(["--config", str(cfg), "--output-dir", str(tmp_path / "out")])
         assert rc == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("wsnsim: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", list(OUT_OF_RANGE))
+    def test_float_range_error_names_the_settings(self, capsys, tmp_path, text):
+        cfg = write_cfg(tmp_path, f"{text}\nalgorithms = leach\n")
+        main(["--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+        assert OUT_OF_RANGE[text] in capsys.readouterr().err
 
     def test_unwritable_output_is_runtime_error(self, capsys, tmp_path):
         blocker = tmp_path / "occupied"

@@ -150,60 +150,60 @@ GOLDEN_MULTI_BLOCK = {
 }
 
 FULL_PRECISION_DEFAULT = {
-    'leach/seed-0': 'da1cc17be58c25d2f67dcddb27b3abc209cb08a730aaff792c6020882e592fe2',
-    'leach/seed-1': '133d0cc8f17f9d34b0298b71dcc5d652fb8c53aa7b3dc762b3b7f393eaaad31c',
-    'leach/seed-2': 'a5585ffbcab10b89475b19034c5c5cea385383782c724a40fcf94c776d5bea0d',
-    'leach-kp/seed-0': 'ddd03bc687b7fa3005bb52e475b3c3aae0acbc9c2a20a1e7e441e3bab92826c6',
-    'leach-kp/seed-1': '1df479f44f37cdb738715e704d7b63251b8d48d0fe1f4358ef206d6f1d3515e1',
-    'leach-kp/seed-2': '13bec32800c6697d39afeda74499ff0f7e0c5e4b1a6c11922d83d1d94f13d1f8',
-    'leach-kep/seed-0': '8647b0f78a706635401f4651bcdb14011c27e16d264dddac48f31262217d4dd2',
-    'leach-kep/seed-1': 'a6dd85222cea742fce42c9abf09271c790c51382a8d73f5a82625c31d1d41c71',
-    'leach-kep/seed-2': '2aaa6a4c340fb41229ced383acc1b4ebfdd9d153d7400055bcb29bf83997aaa4',
-    'leach-kef-1-1/seed-0': 'cfce591bf6a2aca1cc03c0dd2a665840d7e2c8a4f37f27e16bd620859a5f0733',
-    'leach-kef-1-1/seed-1': 'b1f86a6cff807612846e1a7cc1696cf0c116b017d01620ea957db9dad3c1500f',
-    'leach-kef-1-1/seed-2': 'e152340147b577e37c6822302716ee3f079aea50787390858d6fed2ac6c86b1d',
-    'leach-kef-1-1-p/seed-0': '52f502414620b62aeefb282f2b82b7047babf8a1c21c1578d4c2112f5968e4a7',
-    'leach-kef-1-1-p/seed-1': '3939d514a21c09103067cbfa387c21c510f3b450ff1e6a56869957a2dcbd926e',
-    'leach-kef-1-1-p/seed-2': 'df533cbb8b4b337373607d19c3edeb06a81f03ea0b886272af45994c257bf9ef',
-    'leach-kef-1-1-p-learning/seed-0': '0b4f593d1f3d3dbfd0266211515392457e04bfdefe9e5ace7e71d6a324a7d2c5',
-    'leach-kef-1-1-p-learning/seed-1': 'f45499d8f1e7a0cf83cd42fd966cdcac4ac96b6a6f3652bceb785487164320fc',
-    'leach-kef-1-1-p-learning/seed-2': '13a7d9ef242043d6c8d6fabdcc145a495e7cf00e5da4fba96448a33d770e5250',
-    'leach-kef-1-2/seed-0': '263036aa5f83872339eea149fb195ad36a012bfda076e544b068951f4bcfdee7',
-    'leach-kef-1-2/seed-1': 'b7ef974efaf36c806b414d39c7d614713de0c0991b7eed1af4e15ce46dd1b26a',
-    'leach-kef-1-2/seed-2': 'bd292168609d97af7582f3cfb9f0d1f5fff3bf08c6ff4ecf42a752c426c80bab',
-    'leach-kef-1-2-p/seed-0': '4817e2cbc4673112ae93d74fd8b1548bc1314c7a1bbde9cd482e43b7d78f1798',
-    'leach-kef-1-2-p/seed-1': 'c7b578c7a2d9ca876b6c8c606a01e202ebc3c034842221166c86e2e32768b7a5',
-    'leach-kef-1-2-p/seed-2': '862f44403cf7fdc3e1479bbec68d0ffc94b8420de845dc2f2d9c98af59caf8b0',
-    'leach-kef-1-2-p-learning/seed-0': 'ee1fd402342fa871e5225dc52ac4d45f58f339ee20e462c5bcccbb2561c06ec3',
-    'leach-kef-1-2-p-learning/seed-1': 'fc03b1f77a0161624a0ee733be2c99c8d7cc3f01c5cf0989c09be7c3dfbdab7a',
-    'leach-kef-1-2-p-learning/seed-2': 'a145d59f1679aac4011d87e254ed8d9b24c83dcd75a3f8fac463ee1116a6d447',
-    'sep/seed-0': '3af1abd12f784a100c85d74df46b724e256256cdf0612f5f30761708dcc22440',
-    'sep/seed-1': '611bc64f42a446c888f584b6ad1235c9d0cc1576643fc4701f68bddb79297c82',
-    'sep/seed-2': 'c1f7540adfed0d9361839654aac736b43e48a0a4d03b751f0cfe67c0dba4d72d',
-    'sep-kp/seed-0': '0c542847acdcf2f6ea91ae1c211188b8f2fd7c024ae6255b3edd70c424979798',
-    'sep-kp/seed-1': 'aa3f55ffe7e590843eefad42aba37c823c9dee5cc5a3d102ada654f6b0eb7bf7',
-    'sep-kp/seed-2': '3445d10aa228a51790e0b9b11f00cdacd89bd6d444b5926bbd37e6ca167767eb',
-    'sep-kep/seed-0': '7a3389c6fdeb6d9d3c39f10efd330bd23a2ae36b024d7ea75a79429833a3b97a',
-    'sep-kep/seed-1': 'd713d6976a67a4747afd8f5d62f27c7351e42c686f49d6ad74e05d68ec8dc12d',
-    'sep-kep/seed-2': '04d7659d5f5e2004beb5b6bf85769cd46288f6595e3afec0a096a7c17e0f48b5',
-    'sep-kef-1-1/seed-0': '092e7786dedc5c2d351c1bb620789ffedf92acb32be7c27a0166d825bfb5e7c8',
-    'sep-kef-1-1/seed-1': '4bbe64c5db0abe0352e4e5cb0d11af418ae5cff65ea6726ec99a56f07439a908',
-    'sep-kef-1-1/seed-2': 'e0cb629b805e0ad28948795e80e9400b307ec1268b40c3296451217f32930059',
-    'sep-kef-1-1-p/seed-0': '5163d33562adf73b8367f4a55f1586048aba30209e25cd82c4d370f529af6409',
-    'sep-kef-1-1-p/seed-1': '0b028c211020d5209fdf2e3866ccef1c5dbb7332d88516591fa96c53cac27ad5',
-    'sep-kef-1-1-p/seed-2': '4130ba52db02fc1586cdcff27e143f282dad73c04ed4ea16748a60f7338ac8dd',
-    'sep-kef-1-1-p-learning/seed-0': '65d19d84e30df9a774a2fa5987eb6c901d568ef4d33cb7563c1375149b189d5e',
-    'sep-kef-1-1-p-learning/seed-1': 'cf95999e0d80178fa36f03d8c6e4ab9c3635372bf533c2aee8dc018702e11cb7',
-    'sep-kef-1-1-p-learning/seed-2': 'c30f4ed34c2b914283111b21fa8eca3a3a1af14730c790429500ae89f74be174',
-    'sep-kef-1-2/seed-0': '6b97fa5265c0f01807437c3e7bdef00bada4583aaebf5f13c73e16a9bccfda1d',
-    'sep-kef-1-2/seed-1': '171b5eb15426a45b9cde968c5c4eda0e4204bed96f48910f2dd8ee4d80af9bff',
-    'sep-kef-1-2/seed-2': '92474563a1c256c8bb23fa705b209045001d058c7e94a584a8ddec84ae63be1c',
-    'sep-kef-1-2-p/seed-0': '62671936370e33873dac93526d2eebdcf837431354873e7153354ed39fb226df',
-    'sep-kef-1-2-p/seed-1': 'ed0c62a4953fe1519544a8ca5ef1b89aa4fd326d44b6c311b5ab53ef235c3295',
-    'sep-kef-1-2-p/seed-2': 'b8ecba5fdab188a5306c33cae2017d56536b88305c48f1aa1a3756793ffd0ad1',
-    'sep-kef-1-2-p-learning/seed-0': '79bc1f07d65e7f9d2018a01ea7dacedce2feaa22283cd8373260f81df00a7802',
-    'sep-kef-1-2-p-learning/seed-1': 'de52d2e690046db856fd4f34eb1d0b685eab2453688a1f31393ab7a938440429',
-    'sep-kef-1-2-p-learning/seed-2': 'c25a134652380f10e521a0ad14fdd4bbcdde56cad62a2bd64bfe67910ac583da',
+    'leach/seed-0': 'c540325190956704a3e1bff5f10855a273b17998ed7dde84cd2ba3e76fb8840a',
+    'leach/seed-1': '8a1b38574e3a7e5b0f7bac4685bb32d504baa4c91575cd3ff2a6e955eb901167',
+    'leach/seed-2': '600f4433dcbd4e5051a616c9a2023fa6655a82ea892bb6b9e5c7ac82b7aec3b0',
+    'leach-kp/seed-0': '71f77db2beb98b676954d9f236582f475244e5f48cf38e30a483c8584cfdd59d',
+    'leach-kp/seed-1': '357326d772c995d1a69dd1105faee8c2cfb1267939c46c488a08c5577a0f0c4c',
+    'leach-kp/seed-2': '1e6e1bef0b2fbdbdbc9fed0e486f5abf2a30ebfecbcd3af83fc1206851f0522f',
+    'leach-kep/seed-0': 'f0f7f35fd9795df4d9abd08ad87c406b72dfa8b4bc24ea1f59cb5c0c00c52303',
+    'leach-kep/seed-1': 'e39eab825d23ee8360d09169dae6ae94d49ba372c3be1627db17a886d41818ec',
+    'leach-kep/seed-2': '1d045f2400dc4e3afd8cebd9299e59abb4e1c490208198b0fef2627950dba4e5',
+    'leach-kef-1-1/seed-0': '0f36e507a87f097ea5ace21b36c9fad88e79b41290a00e4628ef625501b08ee6',
+    'leach-kef-1-1/seed-1': '23ac5262391d03d7642e0b64da728c08227c30c713cabdb9c69ff5c4dbce1372',
+    'leach-kef-1-1/seed-2': 'a4e93b4a50bae626b10a7a9c9fde5ac7c4354abf42c8e826ba57716a6d4c0ecb',
+    'leach-kef-1-1-p/seed-0': 'f860548591ff50b70e7a6c525b3ed5ffb6a41b1005e191ffd3534dc59f2d379b',
+    'leach-kef-1-1-p/seed-1': '87618fa1dd8faa6756a26d184b7dbc6d11a2029ae80aa61850a8f72ec4e3a945',
+    'leach-kef-1-1-p/seed-2': '4203109d998960dafa3e53bf9bcbc16e897023c8aaafa5cdb17f552f7bae070c',
+    'leach-kef-1-1-p-learning/seed-0': 'cddfbd4d1d4ec0dd7c0be3918385b9d9c4d30cf51b3a2d3f229c29ee6a26d4c7',
+    'leach-kef-1-1-p-learning/seed-1': 'e8b528126ab53e111d9184f34a881544d7cc91b563d8fc2ff71673f1a4377837',
+    'leach-kef-1-1-p-learning/seed-2': '3686573f9af2bd337aee3538a1af3fa8fff3b13cf2778f49ba2b9ceeb8052bfe',
+    'leach-kef-1-2/seed-0': 'b7c587a02c2ff82e027c841407eec1bf98724ac0e0db4048b482dfeb29a0dc45',
+    'leach-kef-1-2/seed-1': 'df51b6162192d87371a3c5af9f5a2a66022ba9257609fbe4e671174cbcfe5b6f',
+    'leach-kef-1-2/seed-2': '4cfd9b0728c04ef070bf7df2c59d196ecce7f42395c5fdf09b74733d9dacc418',
+    'leach-kef-1-2-p/seed-0': '3c61f4242a42343b1be8f908d141cb2749b19e56ebb70230dba84072ef24131d',
+    'leach-kef-1-2-p/seed-1': '44d7a67fcd2b3c37f8145fe31c8803f0e9cee0c5751e42f01256652b1c43a744',
+    'leach-kef-1-2-p/seed-2': '05e38d8616fd514e319cfd75f3a056933d9734f48ebb315456f4d7d042fb02a5',
+    'leach-kef-1-2-p-learning/seed-0': 'ad6f7a828889d305471b108e2e824f3d7700e505706b0569291d4a4dfdbdcff1',
+    'leach-kef-1-2-p-learning/seed-1': 'd5ada7bf094cd36ba324f80490af5f9344783c0f15587b6511663ddbe71775f4',
+    'leach-kef-1-2-p-learning/seed-2': '9fe7d8ae8e52c1e56b6357c2491fb57f960436ef5b9b20b33d9e8abe42f4d5f3',
+    'sep/seed-0': 'd2a4e46f15a648bd7a5414a8a1e25b9a8c164cfaee794630322e136015951d7a',
+    'sep/seed-1': '934a6f37e656eda0b557228ab2f047565f94a4bc921e6d8e9109f5794acb059a',
+    'sep/seed-2': '99622e6c0cea1c1fa616b2828531cedeebfd2a409e2f9e913f4d68877698aeaf',
+    'sep-kp/seed-0': '17f22d8bed014edf7281aae16ab156cb915a8c0a5b25c3fda8f043f62c671bd2',
+    'sep-kp/seed-1': '4c39d49a1800f093bbd897f1017494a781b153450e25818813c9afbad95d3c22',
+    'sep-kp/seed-2': '19ef28cb19aedc8e3e9692d0c327036f761bbd791c877698dfe3a87b17313474',
+    'sep-kep/seed-0': '63f0a04f385862270b7213a6b55ea1878cc76a235c22c1c996b9f941185bd1a6',
+    'sep-kep/seed-1': 'd338ea4e9c068fbe5277e1ec89f0e433d4e4bed67b7aaf18d47083c3fe2b77dc',
+    'sep-kep/seed-2': 'fce71cbbc19d714d18df4f71f584af5fc5cb95c2b217d3c490ed5d05481ff54d',
+    'sep-kef-1-1/seed-0': '8caeb1515d0f206a4df0003e5398c6b341d53707c1790c05e01d994f25c74000',
+    'sep-kef-1-1/seed-1': 'd1a35ed66c0d800f340463ec199e2d260f2d677889413527393a9e4655ec33fe',
+    'sep-kef-1-1/seed-2': '902321b8c508ba14582648e45e0029571b62e30a6a1cbacfb418625bfad5ddad',
+    'sep-kef-1-1-p/seed-0': '33ab4007d1584977a58b136b1c05eacec3141453871c0ac31d57b4be074cda3c',
+    'sep-kef-1-1-p/seed-1': '413c7e202ff5518852d8b5915c4fa9b12a7d1a92daccd045fcb416364f1bca33',
+    'sep-kef-1-1-p/seed-2': '35217d6a7b00587030054e36a9890285f80eb25347cee87aaf93ad07f0f992c2',
+    'sep-kef-1-1-p-learning/seed-0': '43974bf01301b4ebdd944b7c9fb49d534885b56e4e875ff61631c56db0561d0c',
+    'sep-kef-1-1-p-learning/seed-1': '89ce8582d5b108c298c48e1e7cb1fb57d364e34b4ac2ec9ee7e24df906d5f658',
+    'sep-kef-1-1-p-learning/seed-2': 'd2bfaafa521b2e1417ca77e61763b078ab43a91b39f46a7e0e1d0ca69b31ab73',
+    'sep-kef-1-2/seed-0': '532f04210db0604e687279ba7300bc4f93a288f84a448b87075e08aa65770eae',
+    'sep-kef-1-2/seed-1': 'ba592eeea2d71fbedca33b15687085f5567f7041b63db3def371fbc9170c3c0b',
+    'sep-kef-1-2/seed-2': '8733df2e9020659c6fdb7ab8c0762a9633325c2b34fc9172d4ac530dda70358c',
+    'sep-kef-1-2-p/seed-0': 'd2e81240dc3d0a62c9bcf872e183c486ea25649adb2a788110c19b928091f05e',
+    'sep-kef-1-2-p/seed-1': '07b1546af56391d3cfa1147634d9b2fcde351a97940f003bdf4d8447a935a06e',
+    'sep-kef-1-2-p/seed-2': '51b06a536e96b03950aa29920b7b3192785c5c20429cbe9389b44014d1c203d4',
+    'sep-kef-1-2-p-learning/seed-0': '5ae979e12ea2548f7fa89d2bd02187d4faeda03eea83eab6690e850318c75290',
+    'sep-kef-1-2-p-learning/seed-1': '9994bbc83732d4ff12b3e3418da10509919fad5b7aefdc7f7e222b95894d85c2',
+    'sep-kef-1-2-p-learning/seed-2': 'aeea6a9e1d92b6a8a07c4a197bc5ed6554ae9121cf0e34e5843d0ccb64904b43',
 }
 
 FULL_PRECISION_MULTI_BLOCK = {

@@ -21,9 +21,9 @@ def assign(nodes, heads, policy):
 
 
 def same_assignment(a, b):
-    """Equal member, head, distance and unassigned arrays."""
+    """Equal member, head, squared-distance and unassigned arrays."""
     return all(np.array_equal(getattr(a, k), getattr(b, k))
-               for k in ("member_ids", "head_ids", "distances", "unassigned_ids"))
+               for k in ("member_ids", "head_ids", "d2", "unassigned_ids"))
 
 
 def random_instance(rng, n_nodes, n_heads, equal_energy=False):
@@ -161,10 +161,10 @@ class TestAssignMembers:
 
 def reference_assign(nodes, heads, policy):
     """The join rule on a full member x head table, unblocked and unpruned."""
-    members, unassigned, distances = full_table_assign(list(nodes), heads, policy)
+    members, unassigned, d2 = full_table_assign(list(nodes), heads, policy)
     return ClusterAssignment(np.array(list(members), dtype=np.intp),
                              np.array(list(members.values()), dtype=np.intp),
-                             np.array(distances), np.array(unassigned, dtype=np.intp))
+                             np.array(d2), np.array(unassigned, dtype=np.intp))
 
 
 ORACLE_POLICIES = [JoinPolicy(NEAREST)] + [
@@ -278,7 +278,7 @@ class TestAssignMembersOracle:
 
     def test_squared_distance_order_beats_hypot_order(self):
         # d^2 ranks head 1 nearer, np.hypot ranks head 0 nearer; the
-        # decision follows d^2, and the reported distance is np.hypot's.
+        # decision follows d^2, and the reported value is head 1's d^2.
         nodes = [node(0, 7.736670605309533, 28.18991754207212),
                  node(1, 28.52235084173048, -6.403360488456255),
                  node(2, 0.0, 0.0)]
@@ -288,7 +288,7 @@ class TestAssignMembersOracle:
         for policy in ORACLE_POLICIES:
             out = assign(nodes, [0, 1], policy)
             assert out.members == {2: 1}
-            assert out.distances.tolist() == [dist[1]]
+            assert out.d2.tolist() == [dx2[1]]
 
 
 class TestGridPruning:

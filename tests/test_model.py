@@ -14,17 +14,25 @@ NETWORK_ARRAYS = ("xy", "advanced", "e0", "e_res", "alive", "eligible")
 
 
 def crossover(radio):
-    """The free-space/multipath crossover distance sqrt(fs / mp), m."""
-    return math.sqrt(radio.fs_amp / radio.mp_amp)
+    """The free-space/multipath crossover squared distance fs / mp, m^2."""
+    return radio.fs_amp / radio.mp_amp
 
 
 def same_network(a, b):
     return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in NETWORK_ARRAYS)
 
 
-def tx_energy(radio, bits, distance):
-    """tx_energies on a one-element array."""
-    return float(tx_energies(radio, bits, np.array([distance]))[0])
+def tx_energy(radio, bits, d2):
+    """tx_energies on a one-element array of squared distances."""
+    return float(tx_energies(radio, bits, np.array([d2]))[0])
+
+
+def free_space(radio, bits, d2):
+    return bits * radio.elec_energy_per_bit + bits * radio.fs_amp * d2
+
+
+def multipath(radio, bits, d2):
+    return bits * radio.elec_energy_per_bit + bits * radio.mp_amp * (d2 * d2)
 
 
 class TestTxEnergy:
@@ -32,33 +40,30 @@ class TestTxEnergy:
         assert tx_energy(radio, 4000, 0.0) == pytest.approx(2.0e-6)
 
     def test_free_space_branch(self, radio):
-        assert 10.0 < crossover(radio)
+        assert 100.0 < crossover(radio)
         expected = 2.0e-6 + 4000 * 10e-12 * 100  # elec + fs amp at d=10
-        assert tx_energy(radio, 4000, 10.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_multipath_branch(self, radio):
-        assert 100.0 > crossover(radio)
-        expected = 2.0e-6 + 4000 * 0.0013e-12 * 100.0 ** 4
         assert tx_energy(radio, 4000, 100.0) == pytest.approx(expected, rel=1e-12)
 
+    def test_multipath_branch(self, radio):
+        assert 1e4 > crossover(radio)
+        expected = 2.0e-6 + 4000 * 0.0013e-12 * 1e8   # at d=100
+        assert tx_energy(radio, 4000, 1e4) == pytest.approx(expected, rel=1e-12)
+
     def test_branch_selection_is_a_hard_switch_at_d0(self, radio):
-        d0 = crossover(radio)
+        d2_0 = crossover(radio)
         l = radio.packet_bits
         rng = random.Random(7)
         for _ in range(200):
-            d = rng.uniform(0.0, 2 * d0)
-            got = tx_energy(radio, l, d)
-            if d <= d0:
-                assert got == l * radio.elec_energy_per_bit + l * radio.fs_amp * d ** 2
-            else:
-                assert got == l * radio.elec_energy_per_bit + l * radio.mp_amp * d ** 4
+            d2 = rng.uniform(0.0, 4 * d2_0)
+            want = free_space if d2 <= d2_0 else multipath
+            assert tx_energy(radio, l, d2) == want(radio, l, d2)
 
     def test_continuous_at_crossover(self, radio):
-        d0 = crossover(radio)
-        eps = 1e-7
-        gap = abs(tx_energy(radio, 4000, d0 + eps) - tx_energy(radio, 4000, d0 - eps))
-        # O(eps): bounded by the multipath slope at d0 times the step width
-        slope = 4 * radio.packet_bits * radio.mp_amp * d0 ** 3
+        d2_0 = crossover(radio)
+        eps = 1e-6
+        gap = abs(tx_energy(radio, 4000, d2_0 + eps) - tx_energy(radio, 4000, d2_0 - eps))
+        # O(eps): bounded by the multipath slope in d^2 at d2_0 times the step width
+        slope = 2 * radio.packet_bits * radio.mp_amp * d2_0
         assert gap <= 2 * eps * slope * 1.01
 
     def test_monotone_in_distance(self, radio):
@@ -66,7 +71,7 @@ class TestTxEnergy:
         for _ in range(100):
             d1 = rng.uniform(0, 200)
             d2 = d1 + rng.uniform(0, 50)
-            assert tx_energy(radio, 4000, d2) >= tx_energy(radio, 4000, d1)
+            assert tx_energy(radio, 4000, d2 * d2) >= tx_energy(radio, 4000, d1 * d1)
 
 
 class TestRxEnergy:
@@ -89,13 +94,16 @@ class TestAggregationEnergy:
 
 class TestDistanceThreshold:
     def test_value(self, radio):
-        # tx_energy switches from the free-space to the multipath branch at 87.7 m.
-        assert crossover(radio) == pytest.approx(87.7, abs=0.05)
+        # tx_energies switches from the free-space to the multipath branch
+        # at d^2 = fs_amp / mp_amp, a distance of 87.7 m; d^2 on the switch
+        # is still free space.
+        d2_0 = crossover(radio)
+        assert math.sqrt(d2_0) == pytest.approx(87.7, abs=0.05)
         l = radio.packet_bits
-        assert tx_energy(radio, l, 87.65) == \
-            l * radio.elec_energy_per_bit + l * radio.fs_amp * 87.65 ** 2
-        assert tx_energy(radio, l, 87.75) == \
-            l * radio.elec_energy_per_bit + l * radio.mp_amp * 87.75 ** 4
+        for d2 in (87.65 * 87.65, math.nextafter(d2_0, 0.0), d2_0):
+            assert tx_energy(radio, l, d2) == free_space(radio, l, d2)
+        for d2 in (math.nextafter(d2_0, math.inf), 87.75 * 87.75):
+            assert tx_energy(radio, l, d2) == multipath(radio, l, d2)
 
     def test_equal_amplifiers_rejected_by_invariant(self):
         with pytest.raises(ValueError):
@@ -207,11 +215,14 @@ class TestDeployField:
 
 class TestTxEnergies:
     def test_equals_the_scalar_formula_bit_for_bit(self, radio):
-        # Python's ** and numpy's d*d / np.power differ in some last bits;
-        # the array form must follow **.
+        # The array form adds no fused or reordered operation to the Python
+        # float one, on either side of the crossover and on it.
         d = np.random.default_rng(3).uniform(0.0, 200.0, 20_000)
-        expected = [reference_engine.tx_energy(radio, 4000, x) for x in d.tolist()]
-        assert tx_energies(radio, 4000, d).tolist() == expected
+        d2_0 = crossover(radio)
+        d2 = np.concatenate((d * d, [math.nextafter(d2_0, 0.0), d2_0,
+                                     math.nextafter(d2_0, math.inf)]))
+        expected = [reference_engine.tx_energy(radio, 4000, x) for x in d2.tolist()]
+        assert tx_energies(radio, 4000, d2).tolist() == expected
 
 
 class TestOrderedSum:
@@ -255,5 +266,5 @@ class TestNode:
 
     def test_distance(self):
         node = Node(id=0, x=0, y=0, tier="normal", initial_energy=0.5)
-        assert node.distance_to(3, 4) == pytest.approx(5.0)
-        assert node.distance_to(50, 50) == pytest.approx(math.sqrt(5000))
+        assert node.d2_to(3, 4) == 25.0
+        assert node.d2_to(50, 50) == 5000.0

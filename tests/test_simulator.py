@@ -274,8 +274,8 @@ class TestLearningUpdate:
 
     def test_matches_representative_bs_distance_after_deaths(self):
         # The budget after deaths is the closed form at the survivors' count
-        # and at their np.hypot distances to the BS, added one by one in id
-        # order: bit for bit, independently of the engine's arrays.
+        # and at their distances sqrt(dx*dx + dy*dy) to the BS, added one by
+        # one in id order: bit for bit, independently of the engine's arrays.
         field = FieldConfig(node_count=60, max_rounds=50)
         radio = RadioParams()
         bx, by = field.bs_position
@@ -287,7 +287,8 @@ class TestLearningUpdate:
         total, alive = 0.0, 0
         for n in net:
             if n.alive:
-                total += float(np.hypot(n.x - bx, n.y - by))
+                dx, dy = n.x - bx, n.y - by
+                total += math.sqrt(dx * dx + dy * dy)
                 alive += 1
         expected = max_clusters(radio, field.side_m, alive, total / alive)
         assert learning_update(state, radio, field) == expected != before
