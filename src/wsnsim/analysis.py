@@ -13,26 +13,9 @@ import numpy as np
 from .model import RadioParams, ordered_sum
 
 
-def total_energy(radio: RadioParams, side_m: float, node_count: int,
-                 bs_distance: float, d: float) -> float:
-    """Per-round network energy with cluster radius d.
-
-    Electronics and aggregation terms are d-independent; the head-uplink term
-    scales with the cluster count M^2/(2*pi*d^2) and the member term with d^2.
-    """
-    if d <= 0:
-        raise ValueError(f"d must be positive, got {d!r}")
-    n = node_count
-    l = radio.packet_bits
-    const = 2 * l * radio.elec_energy_per_bit * n + l * radio.aggregation_energy_per_bit * n
-    uplink = l * radio.mp_amp * bs_distance ** 4 * side_m ** 2 / (2 * math.pi * d ** 2)
-    members = n * l * radio.fs_amp * d ** 2
-    return const + uplink + members
-
-
 def optimal_distance(radio: RadioParams, side_m: float, node_count: int,
                      bs_distance: float) -> float:
-    """Cluster radius minimizing total_energy (closed form)."""
+    """Cluster radius minimizing the per-round network energy (closed form)."""
     if bs_distance <= 0:
         raise ValueError(f"bs_distance must be positive, got {bs_distance!r}")
     ratio = radio.mp_amp * (side_m * side_m) / (2 * math.pi * node_count * radio.fs_amp)

@@ -38,20 +38,20 @@ def sep_probabilities(p: float, a: float, m_frac: float) -> tuple[float, float]:
 
 
 def tier_probabilities(p: float, sep_params: tuple[float, float] | None,
-                       p_adp: float | None) -> tuple[float, float]:
+                       p_run: float) -> tuple[float, float]:
     """Effective (normal, advanced) probabilities, clamped to [1e-12, 1].
 
-    `sep_params` (a, m) weights the two tiers as SEP does. The adapted
-    probability `p_adp`, when given, replaces p; on two tiers it rescales
-    both by p_adp / p, preserving the (1+a) ratio between them.
+    `p_run` is the run's probability this round: the base p, or the adapted
+    one. `sep_params` (a, m) weights the two tiers as SEP does around p and
+    rescales both by p_run / p, preserving the (1+a) ratio between them; at
+    p_run = p the scale is exactly 1.
     """
     if sep_params is not None:
         p_nrm, p_adv = sep_probabilities(p, *sep_params)
-        if p_adp is not None:
-            scale = p_adp / p
-            p_nrm, p_adv = p_nrm * scale, p_adv * scale
+        scale = p_run / p
+        p_nrm, p_adv = p_nrm * scale, p_adv * scale
     else:
-        p_nrm = p_adv = p if p_adp is None else p_adp
+        p_nrm = p_adv = p_run
     return min(1.0, max(p_nrm, 1e-12)), min(1.0, max(p_adv, 1e-12))
 
 

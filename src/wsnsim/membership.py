@@ -1,9 +1,10 @@
 """Cluster membership: each alive non-head joins exactly one head.
 
-Two join rules: nearest head, or highest energy-distance ratio
-E_res^alpha / d^beta using the head's residual energy at the start of the
-round. Both are decided on one score per member-head pair, computed from the
-squared distance d^2 = dx*dx + dy*dy in IEEE doubles (see _score), which the charge reads.
+Two join rules, chosen by `beta`: nearest head (None), or highest
+energy-distance ratio E_res / d^beta for beta 1 or 2, using the head's
+residual energy at the start of the round. Both are decided on one score per
+member-head pair, computed from the squared distance d^2 = dx*dx + dy*dy in
+IEEE doubles (see _score), which the charge reads.
 """
 from __future__ import annotations
 
@@ -15,9 +16,6 @@ import numpy as np
 
 from .model import Network
 
-NEAREST = "nearest"
-ENERGY_DISTANCE = "energy_distance"
-
 _D2_FLOOR = 1e-24        # a 1e-12 m distance floor, squared: only co-located pairs score 0
 _BLOCK = 32768           # member x candidate entries per block; temporaries stay in cache
 _HEADS_PER_CELL = 4      # grid density: a 3x3 block holds ~36 candidate heads
@@ -25,13 +23,6 @@ _GRID_HEADS = 128        # fewer heads: a grid of ~30 cells prunes less than it 
 _SLACK = 1e-9            # guard margin per unit of coordinate: covers cell and edge rounding
 _NEIGHBOURS = np.array([[-1, -1, -1, 0, 0, 0, 1, 1, 1],
                         [-1, 0, 1, -1, 0, 1, -1, 0, 1]])[:, :, None]   # 3x3 cell offsets
-
-
-@dataclass(frozen=True)
-class JoinPolicy:
-    kind: str = NEAREST
-    alpha: float = 1.0
-    beta: float = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +43,9 @@ class ClusterAssignment:
         return self.unassigned_ids.tolist()
 
 
-def assign_members(network: Network, heads, policy: JoinPolicy) -> ClusterAssignment:
-    """Assign every alive non-head node to the head of lowest _score.
+def assign_members(network: Network, heads, beta: int | None) -> ClusterAssignment:
+    """Assign every alive non-head node to the head of lowest _score: the
+    nearest for `beta` None, else the lowest d^beta / E_res (beta 1 or 2).
 
     Ties go to the lower head id. With fewer than _GRID_HEADS heads each
     member is scored on every head; with more, on the heads of its 3x3 block
@@ -70,8 +62,7 @@ def assign_members(network: Network, heads, policy: JoinPolicy) -> ClusterAssign
         return ClusterAssignment(none, none, np.empty(0), none if head_ids.size else member_ids)
 
     h, m = (np.take(network.xy, ids, axis=1) for ids in (head_ids, member_ids))
-    weights = None if policy.kind == NEAREST else network.e_res[head_ids] ** policy.alpha
-    beta = policy.beta
+    weights = None if beta is None else network.e_res[head_ids]
     with np.errstate(all="ignore"):   # a head of zero energy scores +inf
         if head_ids.size < _GRID_HEADS:
             choice = _all_heads(m, h, weights, beta)
@@ -85,17 +76,15 @@ def assign_members(network: Network, heads, policy: JoinPolicy) -> ClusterAssign
 
 def _score(d2, weights, beta):
     """The join score of squared distances `d2` to heads of `weights`
-    (E_res^alpha), lower wins: d^2 for the nearest join (weights None), else
-    max(d^2, _D2_FLOOR)^(beta/2) / weight, and 0 for a co-located pair.
-    Overwrites `d2`."""
+    (E_res), lower wins: d^2 for the nearest join (weights None), else
+    sqrt(max(d^2, _D2_FLOOR)) / weight for beta 1 and max(d^2, _D2_FLOOR) /
+    weight for beta 2, and 0 for a co-located pair. Overwrites `d2`."""
     if weights is None:
         return d2
     zero = d2 == 0
     np.maximum(d2, _D2_FLOOR, out=d2)
-    if beta == 1.0:
+    if beta == 1:
         np.sqrt(d2, out=d2)
-    elif beta != 2.0:
-        d2 **= beta / 2.0
     d2 /= weights
     d2[zero] = 0.0
     return d2

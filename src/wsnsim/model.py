@@ -48,6 +48,8 @@ class RadioParams:
         _require_int("packet_bits", self.packet_bits, 1)
         _require("fs_amp", self.fs_amp, self.fs_amp > self.mp_amp,   # crossover > 1 m
                  f"greater than mp_amp ({self.mp_amp!r})")
+        _require("fs_amp / mp_amp", ratio := self.fs_amp / self.mp_amp,   # the crossover d^2
+                 ratio < math.inf, "finite")
 
 
 @dataclass(frozen=True)
@@ -123,23 +125,24 @@ def ordered_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
-def tx_energies(params: RadioParams, bits: int, d2: np.ndarray) -> np.ndarray:
-    """Energy to send `bits` over each squared distance `d2`: fs_amp * d2 up to
-    the crossover d2 = fs_amp / mp_amp, mp_amp * d2 * d2 beyond (only those d2
-    are squared). IEEE `*` and `+` only, so the bits are alike on every platform."""
+def tx_energies(params: RadioParams, d2: np.ndarray) -> np.ndarray:
+    """Energy to send one packet over each squared distance `d2`: per bit,
+    fs_amp * d2 up to the crossover d2 = fs_amp / mp_amp, mp_amp * d2 * d2
+    beyond. IEEE `*` and `+` only, so the bits are alike on every platform."""
+    bits = params.packet_bits
     far = d2 > params.fs_amp / params.mp_amp
     amp = np.where(far, bits * params.mp_amp, bits * params.fs_amp)
     return bits * params.elec_energy_per_bit + amp * (d2 * np.where(far, d2, 1.0))
 
 
-def rx_energy(params: RadioParams, bits: int) -> float:
-    """Energy to receive `bits` (electronics only)."""
-    return bits * params.elec_energy_per_bit
+def rx_energy(params: RadioParams) -> float:
+    """Energy to receive one packet (electronics only)."""
+    return params.packet_bits * params.elec_energy_per_bit
 
 
-def aggregation_energy(params: RadioParams, bits: int) -> float:
-    """Energy for a head to aggregate one packet of `bits`."""
-    return bits * params.aggregation_energy_per_bit
+def aggregation_energy(params: RadioParams) -> float:
+    """Energy for a head to aggregate one packet."""
+    return params.packet_bits * params.aggregation_energy_per_bit
 
 
 def deploy_field(config: FieldConfig, rng: random.Random) -> Network:

@@ -64,12 +64,16 @@ def round_csv_text(summary: SimulationSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_round_csv(summary: SimulationSummary, sink: str | Path) -> None:
+def _write(text: str, sink: str | Path, what: str) -> None:
     sink = Path(sink)
     try:
-        sink.write_text(round_csv_text(summary), encoding="utf-8")
+        sink.write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise OSError(f"failed to write round CSV to {sink}: {exc}") from exc
+        raise OSError(f"failed to write {what} to {sink}: {exc}") from exc
+
+
+def write_round_csv(summary: SimulationSummary, sink: str | Path) -> None:
+    _write(round_csv_text(summary), sink, "round CSV")
 
 
 _JSON_FIELDS = ("algorithm", "seed", "first_death_round", "half_death_round",
@@ -82,8 +86,4 @@ def summary_json_text(summaries: list[SimulationSummary]) -> str:
 
 
 def write_summary_json(summaries: list[SimulationSummary], sink: str | Path) -> None:
-    sink = Path(sink)
-    try:
-        sink.write_text(summary_json_text(summaries), encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"failed to write summary JSON to {sink}: {exc}") from exc
+    _write(summary_json_text(summaries), sink, "summary JSON")

@@ -11,7 +11,7 @@ import numpy as np
 from . import reporting
 from .analysis import adaptive_probability, max_clusters, representative_bs_distance
 from .election import elect_cluster_heads, refresh_epoch, tier_probabilities
-from .membership import ENERGY_DISTANCE, NEAREST, JoinPolicy, assign_members
+from .membership import assign_members
 from .model import (FieldConfig, Network, RadioParams, _require, aggregation_energy,
                     deploy_field, ordered_sum, round_half_up, rx_energy,
                     tx_energies)
@@ -29,31 +29,29 @@ class AlgorithmSpec:
     name: str
     base: str                     # LEACH or SEP
     energy_weighted: bool         # scale the threshold by the residual-energy fraction
-    join: JoinPolicy
+    join_beta: int | None         # join the nearest head (None), or the lowest d^beta / E_res
     capped: bool                  # limit heads per round to the cluster budget
     adaptive_p: bool              # re-derive the election probability each round
     learning_kappa: bool          # re-derive the cluster budget each round
 
 
 def _build_registry() -> dict[str, AlgorithmSpec]:
-    nearest = JoinPolicy(NEAREST)
     reg = {}
 
-    def add(name, base, weighted, join, capped, adaptive, learning=False):
+    def add(name, base, weighted, beta, capped, adaptive, learning=False):
         reg[name] = AlgorithmSpec(name=name, base=base, energy_weighted=weighted,
-                                  join=join, capped=capped, adaptive_p=adaptive,
+                                  join_beta=beta, capped=capped, adaptive_p=adaptive,
                                   learning_kappa=learning)
 
     for base in (LEACH, SEP):
-        add(base, base, False, nearest, capped=False, adaptive=False)
-        add(f"{base}-kp", base, False, nearest, capped=True, adaptive=True)
-        add(f"{base}-kep", base, True, nearest, capped=True, adaptive=True)
-        for alpha, beta in ((1, 1), (1, 2)):
-            join = JoinPolicy(ENERGY_DISTANCE, alpha=float(alpha), beta=float(beta))
-            stem = f"{base}-kef-{alpha}-{beta}"
-            add(stem, base, True, join, capped=True, adaptive=False)
-            add(f"{stem}-p", base, True, join, capped=True, adaptive=True)
-            add(f"{stem}-p-learning", base, True, join, capped=True, adaptive=True, learning=True)
+        add(base, base, False, None, capped=False, adaptive=False)
+        add(f"{base}-kp", base, False, None, capped=True, adaptive=True)
+        add(f"{base}-kep", base, True, None, capped=True, adaptive=True)
+        for beta in (1, 2):   # -kef-a-b: E_res^a / d^b, with a = 1
+            stem = f"{base}-kef-1-{beta}"
+            add(stem, base, True, beta, capped=True, adaptive=False)
+            add(f"{stem}-p", base, True, beta, capped=True, adaptive=True)
+            add(f"{stem}-p-learning", base, True, beta, capped=True, adaptive=True, learning=True)
     return reg
 
 
@@ -103,7 +101,7 @@ def _geometry_caches(network: Network, bs: tuple[float, float],
     """Set-up: each node's distance sqrt(dx*dx + dy*dy) to the BS, which the
     kappa mean reads, and its cost of one packet over the squared distance."""
     d2 = np.square(network.xy[0] - bs[0]) + np.square(network.xy[1] - bs[1])
-    return np.sqrt(d2), tx_energies(radio, radio.packet_bits, d2)
+    return np.sqrt(d2), tx_energies(radio, d2)
 
 
 def learning_update(state: SimulationState, radio: RadioParams,
@@ -137,22 +135,20 @@ def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
     net = state.network
     sep_params = ((field.advanced_energy_factor, field.advanced_fraction)
                   if algo.base == SEP else None)
-    tier_probs = tier_probabilities(field.base_probability, sep_params,
-                                    state.p_effective if algo.adaptive_p else None)
+    tier_probs = tier_probabilities(field.base_probability, sep_params, state.p_effective)
     refresh_epoch(net, tier_probs, state.round)
     cap = max(1, round_half_up(state.kappa_max_raw)) if algo.capped else None
     heads = elect_cluster_heads(net, tier_probs, state.round, rng,
                                 energy_weighted=algo.energy_weighted,
                                 by_alive_mean=algo.adaptive_p, cap=cap).heads
-    assignment = assign_members(net, heads, algo.join)
+    assignment = assign_members(net, heads, algo.join_beta)
 
-    l = radio.packet_bits
     counts = np.bincount(assignment.head_ids, minlength=len(net))[heads]
-    head_cost = (counts * rx_energy(radio, l) + aggregation_energy(radio, l) * (counts + 1)
+    head_cost = (counts * rx_energy(radio) + aggregation_energy(radio) * (counts + 1)
                  + state.uplink[heads])
     headless = assignment.unassigned_ids
     charged = np.concatenate((assignment.member_ids, heads, headless))
-    cost = np.concatenate((tx_energies(radio, l, assignment.d2), head_cost,
+    cost = np.concatenate((tx_energies(radio, assignment.d2), head_cost,
                            state.uplink[headless]))
     residual = net.e_res[charged]
     drawn = np.minimum(cost, residual)
@@ -191,10 +187,9 @@ def run_simulation(field: FieldConfig, radio: RadioParams,
         algo = algorithm(algo)
     diag = 2.0 * field.side_m * field.side_m   # range check: no d^2 of the run exceeds it
     with np.errstate(over="ignore"):
-        worst = tx_energies(radio, radio.packet_bits, np.array(diag))
+        worst = tx_energies(radio, np.array(diag))
     _require("side_m", field.side_m, diag > 0 and worst < np.inf,
              "such that the diagonal's d^2 = 2 * side_m^2 is positive and its uplink finite")
-    _require("fs_amp / mp_amp", ratio := radio.fs_amp / radio.mp_amp, ratio < np.inf, "finite")
     rng = random.Random(seed)
     network = deploy_field(field, rng)
     bs_dist, uplink = _geometry_caches(network, field.bs_position, radio)

@@ -1,13 +1,29 @@
-"""A numerical argmin of the network energy: an independent cross-check of
-the closed-form optimal radius in `wsnsim.analysis`."""
+"""The per-round network energy and its numerical argmin: an independent
+cross-check of the closed-form optimal radius in `wsnsim.analysis`."""
 from __future__ import annotations
 
 import math
 
-from wsnsim.analysis import total_energy
 from wsnsim.model import RadioParams
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def total_energy(radio: RadioParams, side_m: float, node_count: int,
+                 bs_distance: float, d: float) -> float:
+    """Per-round network energy with cluster radius d.
+
+    Electronics and aggregation terms are d-independent; the head-uplink term
+    scales with the cluster count M^2/(2*pi*d^2) and the member term with d^2.
+    """
+    if d <= 0:
+        raise ValueError(f"d must be positive, got {d!r}")
+    n = node_count
+    l = radio.packet_bits
+    const = 2 * l * radio.elec_energy_per_bit * n + l * radio.aggregation_energy_per_bit * n
+    uplink = l * radio.mp_amp * bs_distance ** 4 * side_m ** 2 / (2 * math.pi * d ** 2)
+    members = n * l * radio.fs_amp * d ** 2
+    return const + uplink + members
 
 
 def golden_section_minimize(f, lo: float, hi: float, iterations: int = 200) -> float:

@@ -23,7 +23,6 @@ import numpy as np
 from wsnsim import reporting
 from wsnsim.analysis import adaptive_probability, max_clusters
 from wsnsim.election import epoch_length, leach_threshold, tier_probabilities
-from wsnsim.membership import NEAREST
 from wsnsim.model import FieldConfig, Network, RadioParams, round_half_up
 from wsnsim.simulator import (RNG_ALGORITHM, SEP, AlgorithmSpec, RoundRecord, _config_hash,
                               algorithm)
@@ -149,13 +148,14 @@ def elect_cluster_heads(nodes: list[Node], tier_probs: dict[str, float], round_n
     return sorted(n.id for n in candidates)
 
 
-def full_table_assign(nodes: list[Node], heads: list[int], policy
+def full_table_assign(nodes: list[Node], heads: list[int], beta: int | None
                       ) -> tuple[dict[int, int], list[int], list[float]]:
     """(member -> head, unassigned, member d2) from the full table of
-    squared distances d2 = dx*dx + dy*dy: the nearest join takes the lowest
-    d2, the energy-distance join the lowest max(d2, 1e-24)^(beta/2) / E^alpha
-    (sqrt for beta 1), a co-located member (d2 = 0) joins that head, and ties
-    go to the lower head id. The reported d2 are the chosen pairs' entries."""
+    squared distances d2 = dx*dx + dy*dy: the nearest join (beta None) takes
+    the lowest d2, the energy-distance join the lowest max(d2, 1e-24) / E for
+    beta 2 and its sqrt over E for beta 1, a co-located member (d2 = 0) joins
+    that head, and ties go to the lower head id. The reported d2 are the
+    chosen pairs' entries."""
     head_ids = sorted(heads)
     head_set = set(head_ids)
     member_ids = [n.id for n in nodes if n.alive and n.id not in head_set]
@@ -170,14 +170,14 @@ def full_table_assign(nodes: list[Node], heads: list[int], policy
     my = np.array([by_id[m].y for m in member_ids])
     dx, dy = mx[:, None] - hx[None, :], my[:, None] - hy[None, :]
     d2 = dx * dx + dy * dy
-    if policy.kind == NEAREST:
+    if beta is None:
         choice = np.argmin(d2, axis=1)   # first occurrence -> lowest head id
     else:
         energies = np.array([by_id[h].residual_energy for h in head_ids])
         floored = np.maximum(d2, 1e-24)
-        scaled = np.sqrt(floored) if policy.beta == 1.0 else floored ** (policy.beta / 2.0)
+        scaled = np.sqrt(floored) if beta == 1 else floored
         with np.errstate(divide="ignore"):   # a head of zero energy scores +inf
-            score = scaled / energies[None, :] ** policy.alpha
+            score = scaled / energies[None, :]
         score[d2 == 0] = 0.0
         choice = np.argmin(score, axis=1)
     members = {m: head_ids[c] for m, c in zip(member_ids, choice)}
@@ -207,15 +207,15 @@ def run_round(state: State, algo: AlgorithmSpec, radio: RadioParams,
     nodes = state.nodes
     sep_params = ((field.advanced_energy_factor, field.advanced_fraction)
                   if algo.base == SEP else None)
-    p_adp = state.p_effective if algo.adaptive_p else None
+    p_run = state.p_effective if algo.adaptive_p else field.base_probability
     tier_probs = dict(zip((NORMAL, ADVANCED),
-                          tier_probabilities(field.base_probability, sep_params, p_adp)))
+                          tier_probabilities(field.base_probability, sep_params, p_run)))
     cap = max(1, round_half_up(state.kappa_max_raw)) if algo.capped else None
     refresh_epoch(nodes, tier_probs, state.round)
     heads = elect_cluster_heads(nodes, tier_probs, state.round, rng,
                                 algo.energy_weighted, algo.adaptive_p,
                                 cap)
-    members, unassigned, member_d2 = full_table_assign(nodes, heads, algo.join)
+    members, unassigned, member_d2 = full_table_assign(nodes, heads, algo.join_beta)
 
     l = radio.packet_bits
     bs = field.bs_position

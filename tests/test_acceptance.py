@@ -20,7 +20,7 @@ from wsnsim import FieldConfig, RadioParams, algorithm_names, run_simulation
 from wsnsim.analysis import max_clusters, optimal_distance
 from wsnsim.cli import main
 from wsnsim.election import elect_cluster_heads
-from wsnsim.membership import ENERGY_DISTANCE, NEAREST, JoinPolicy, assign_members
+from wsnsim.membership import assign_members
 from wsnsim.simulator import algorithm
 from wsnsim.model import round_half_up
 
@@ -214,10 +214,9 @@ def test_criterion_6_membership_equivalence():
                  for i in range(n)]
         heads = rng.sample(range(n), rng.randrange(1, min(6, n)))
         net = network_of(nodes)
-        for alpha, beta in ((1.0, 1.0), (1.0, 2.0)):
-            by_ratio = assign_members(
-                net, heads, JoinPolicy(ENERGY_DISTANCE, alpha, beta))
-            by_dist = assign_members(net, heads, JoinPolicy(NEAREST))
+        for beta in (1, 2):
+            by_ratio = assign_members(net, heads, beta)
+            by_dist = assign_members(net, heads, None)
             if (by_ratio.members != by_dist.members
                     or by_ratio.unassigned != by_dist.unassigned):
                 mismatches += 1

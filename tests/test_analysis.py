@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from numerics import argmin_total_energy
+from numerics import argmin_total_energy, total_energy
 from reference_engine import Node, network_of
 from wsnsim import FieldConfig, RadioParams
 from wsnsim.analysis import (adaptive_probability, max_clusters, optimal_distance,
-                             representative_bs_distance, total_energy)
+                             representative_bs_distance)
 from wsnsim.model import deploy_field
 from wsnsim.simulator import SimulationState, _geometry_caches, algorithm, run_round
 

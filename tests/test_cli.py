@@ -11,15 +11,20 @@ from wsnsim import algorithm_names
 from wsnsim.cli import (_SCALAR_KEYS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, ConfigError, main,
                         parse_config)
 
-# Settings that pass validation but whose arithmetic leaves the float range,
-# each with the part of its one-line runtime error that names the settings.
+# Settings that pass the per-field checks but whose arithmetic leaves the float
+# range, each with its exit code and the part of its one-line error that names
+# the settings. The per-run checks exit 2 (runtime error); the radio-only
+# crossover is checked by RadioParams when the config is read, so it exits 1.
 OUT_OF_RANGE = {
-    "side = 1e100": "side_m",                       # the diagonal's d^2 * d^2 overflows
-    "side = 1e-200\nbs_x = 0": "side_m",            # the diagonal's d^2 underflows to 0
-    "fs_amp = 1e100\nmp_amp = 1e-300": "fs_amp / mp_amp",   # the crossover d^2 overflows
-    "side = 1e80": "side_m",                        # d^2 is finite, d^2 * d^2 is not
-    "side = 1e-155": "kappa of side_m, node_count, fs_amp and mp_amp",   # d_opt^2 underflows
+    "side = 1e100": (EXIT_RUNTIME, "side_m"),       # the diagonal's d^2 * d^2 overflows
+    "side = 1e-200\nbs_x = 0": (EXIT_RUNTIME, "side_m"),   # the diagonal's d^2 underflows to 0
+    # the crossover d^2 overflows
+    "fs_amp = 1e100\nmp_amp = 1e-300": (EXIT_CONFIG, "fs_amp / mp_amp"),
+    "side = 1e80": (EXIT_RUNTIME, "side_m"),        # d^2 is finite, d^2 * d^2 is not
+    # d_opt^2 underflows
+    "side = 1e-155": (EXIT_RUNTIME, "kappa of side_m, node_count, fs_amp and mp_amp"),
 }
+ERROR_PREFIX = {EXIT_RUNTIME: "wsnsim: error: ", EXIT_CONFIG: "wsnsim: configuration error: "}
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -188,9 +193,11 @@ class TestMain:
         ("bs_y = -1\n", [], "line 2: key 'bs_y': bs_position y must be in [0, side_m = 100.0]"),
         ("mp_amp = 1\n", [],   # fs_amp keeps its default: the message names mp_amp's line
          "line 2: key 'mp_amp': fs_amp must be greater than mp_amp (1.0), got 1e-11"),
+        ("fs_amp = 1e100\nmp_amp = 1e-300\n", [],   # the crossover d^2 overflows
+         "line 2: key 'fs_amp': fs_amp / mp_amp must be finite, got inf"),
     ], ids=["seed-x", "rounds-x", "format-xml", "algorithm-nope", "seed-negative",
             "rounds-negative", "seeds-negative", "formats-empty", "format-empty", "p", "bs_y",
-            "mp_amp"])
+            "mp_amp", "fs_amp-over-mp_amp"])
     def test_bad_value_is_config_error_naming_its_origin(self, capsys, tmp_path, text, argv,
                                                          message):
         cfg = write_cfg(tmp_path, f"algorithms = leach\n{text}")
@@ -294,15 +301,15 @@ class TestMain:
     def test_float_overflow_is_one_line_runtime_error(self, capsys, tmp_path, text):
         cfg = write_cfg(tmp_path, f"{text}\nalgorithms = leach\n")
         rc = main(["--config", str(cfg), "--output-dir", str(tmp_path / "out")])
-        assert rc == EXIT_RUNTIME
+        assert rc == OUT_OF_RANGE[text][0]
         err = capsys.readouterr().err
-        assert err.startswith("wsnsim: error: ") and err.count("\n") == 1
+        assert err.startswith(ERROR_PREFIX[rc]) and err.count("\n") == 1
 
     @pytest.mark.parametrize("text", list(OUT_OF_RANGE))
     def test_float_range_error_names_the_settings(self, capsys, tmp_path, text):
         cfg = write_cfg(tmp_path, f"{text}\nalgorithms = leach\n")
         main(["--config", str(cfg), "--output-dir", str(tmp_path / "out")])
-        assert OUT_OF_RANGE[text] in capsys.readouterr().err
+        assert OUT_OF_RANGE[text][1] in capsys.readouterr().err
 
     def test_unwritable_output_is_runtime_error(self, capsys, tmp_path):
         blocker = tmp_path / "occupied"

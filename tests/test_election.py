@@ -163,7 +163,7 @@ class TestElectClusterHeads:
         # Over full epochs each node serves exactly once, so the long-run
         # per-round head count under p with N alive nodes averages p*N.
         net = make_network(100)
-        probs = tier_probabilities(0.1, None, None)
+        probs = tier_probabilities(0.1, None, 0.1)
         rng = random.Random(12)
         counts = []
         rounds = 2000
@@ -200,8 +200,16 @@ class TestElectClusterHeads:
     def test_sep_adaptive_preserves_tier_ratio(self):
         p_nrm, p_adv = tier_probabilities(0.1, (1.0, 0.1), 0.2)
         assert p_adv == pytest.approx(2 * p_nrm)
-        base = tier_probabilities(0.1, (1.0, 0.1), None)
+        base = tier_probabilities(0.1, (1.0, 0.1), 0.1)
         assert (p_nrm, p_adv) == pytest.approx(tuple(2 * p for p in base))
+
+    def test_unadapted_sep_keeps_its_tiers_bit_for_bit(self):
+        # At p_run = p the rescaling factor is exactly 1.0.
+        rng = random.Random(31)
+        for _ in range(1000):
+            p, a, m = rng.uniform(1e-3, 1.0), rng.uniform(0.0, 5.0), rng.uniform(0.0, 1.0)
+            probs = tier_probabilities(p, (a, m), p)
+            assert probs == tuple(min(1.0, q) for q in sep_probabilities(p, a, m))
 
 
 class TestRefreshEpoch:

@@ -6,8 +6,7 @@ import pytest
 
 from reference_engine import Node, full_table_assign, network_of
 from wsnsim import FieldConfig, membership
-from wsnsim.membership import (ENERGY_DISTANCE, NEAREST, ClusterAssignment, JoinPolicy,
-                               assign_members)
+from wsnsim.membership import ClusterAssignment, assign_members
 from wsnsim.model import deploy_field
 
 
@@ -16,8 +15,8 @@ def node(i, x, y, energy=0.5):
                 residual_energy=energy)
 
 
-def assign(nodes, heads, policy):
-    return assign_members(network_of(nodes), heads, policy)
+def assign(nodes, heads, beta):
+    return assign_members(network_of(nodes), heads, beta)
 
 
 def same_assignment(a, b):
@@ -35,83 +34,77 @@ def random_instance(rng, n_nodes, n_heads, equal_energy=False):
 
 
 class TestEnergyDistanceRatio:
-    """The energy-distance join picks the head with the highest E_res^alpha / d^beta."""
+    """The energy-distance join picks the head with the highest E_res / d^beta."""
 
     def test_reference_value(self):
-        # alpha 1, beta 2: head 1 (E 0.5 at d 10) scores 0.005, head 2 at
+        # beta 2: head 1 (E 0.5 at d 10) scores 0.005, head 2 at
         # d 5 scores 0.0048 with E 0.12 and 0.0052 with E 0.13.
-        policy = JoinPolicy(ENERGY_DISTANCE, alpha=1.0, beta=2.0)
         for e2, joined in ((0.12, 1), (0.13, 2)):
             nodes = [node(0, 0.0, 0.0), node(1, 10.0, 0.0, 0.5), node(2, 0.0, 5.0, e2)]
-            assert assign(nodes, [1, 2], policy).members == {0: joined}
+            assert assign(nodes, [1, 2], 2).members == {0: joined}
 
     def test_dead_head_never_attracts(self):
         nodes = [node(0, 0.0, 0.0), node(1, 1.0, 0.0, 0.0), node(2, 50.0, 0.0, 0.1)]
-        assert assign(nodes, [1, 2], JoinPolicy(ENERGY_DISTANCE)).members == {0: 2}
+        assert assign(nodes, [1, 2], 1).members == {0: 2}
 
     def test_homogeneity_in_distance(self):
         # beta 1: twice the distance halves the score, so heads at d 4 (E 0.35)
         # and d 8 (E 0.7) tie, and the tie goes to the lower id.
-        policy = JoinPolicy(ENERGY_DISTANCE, alpha=1.0, beta=1.0)
         for e2, joined in ((0.7, 1), (0.7 * (1 + 1e-9), 2)):
             nodes = [node(0, 0.0, 0.0), node(1, 4.0, 0.0, 0.35), node(2, 0.0, 8.0, e2)]
-            assert assign(nodes, [1, 2], policy).members == {0: joined}
+            assert assign(nodes, [1, 2], 1).members == {0: joined}
 
 
 class TestAssignMembers:
     def test_no_heads_all_unassigned(self):
         nodes = [node(i, i, 0.0) for i in range(5)]
-        out = assign(nodes, [], JoinPolicy(NEAREST))
+        out = assign(nodes, [], None)
         assert out.members == {}
         assert out.unassigned == [0, 1, 2, 3, 4]
 
     def test_single_head_takes_all(self):
         nodes = [node(i, i * 10.0, 0.0) for i in range(6)]
-        out = assign(nodes, [2], JoinPolicy(NEAREST))
+        out = assign(nodes, [2], None)
         assert out.members == {i: 2 for i in range(6) if i != 2}
         assert out.unassigned == []
 
     def test_nearest_assignment(self):
         nodes = [node(0, 0, 0), node(1, 100, 0), node(2, 10, 0), node(3, 90, 0)]
-        out = assign(nodes, [0, 1], JoinPolicy(NEAREST))
+        out = assign(nodes, [0, 1], None)
         assert out.members == {2: 0, 3: 1}
 
     def test_equidistant_unequal_energy_joins_richer_head(self):
         heads = [node(0, 0.0, 0.0, energy=0.2), node(1, 20.0, 0.0, energy=0.8)]
         member = node(2, 10.0, 0.0)
         nodes = heads + [member]
-        out = assign(nodes, [0, 1],
-                             JoinPolicy(ENERGY_DISTANCE, alpha=1, beta=1))
+        out = assign(nodes, [0, 1], 1)
         assert out.members == {2: 1}
 
     def test_exact_tie_goes_to_lower_head_id(self):
         heads = [node(0, 0.0, 0.0, energy=0.5), node(1, 20.0, 0.0, energy=0.5)]
         member = node(2, 10.0, 0.0)
-        for policy in (JoinPolicy(NEAREST),
-                       JoinPolicy(ENERGY_DISTANCE, alpha=1, beta=2)):
-            out = assign(heads + [member], [0, 1], policy)
+        for beta in (None, 2):
+            out = assign(heads + [member], [0, 1], beta)
             assert out.members == {2: 0}
 
     def test_colocated_member_joins_that_head(self):
         heads = [node(0, 10.0, 10.0, energy=0.0), node(1, 10.5, 10.0, energy=0.9)]
         member = node(2, 10.0, 10.0)
         nodes = heads + [member]
-        out = assign(nodes, [0, 1],
-                             JoinPolicy(ENERGY_DISTANCE, alpha=1, beta=2))
+        out = assign(nodes, [0, 1], 2)
         assert out.members == {2: 0}
 
     def test_dead_nodes_not_assigned(self):
         nodes = [node(0, 0, 0), node(1, 50, 0), node(2, 10, 0)]
         nodes[2].drain(1.0)
-        out = assign(nodes, [0], JoinPolicy(NEAREST))
+        out = assign(nodes, [0], None)
         assert out.members == {1: 0}
 
     def test_partition_property(self):
         rng = random.Random(21)
         for _ in range(50):
             nodes, heads = random_instance(rng, 30, 4)
-            policy = JoinPolicy(ENERGY_DISTANCE, alpha=1, beta=2)
-            out = assign(nodes, heads, policy)
+            out = assign(nodes, heads, 2)
             alive = {n.id for n in nodes if n.alive}
             assigned = set(out.members) | set(out.unassigned) | set(heads)
             assert assigned == alive
@@ -121,17 +114,15 @@ class TestAssignMembers:
         rng = random.Random(22)
         for _ in range(100):
             nodes, heads = random_instance(rng, 25, 5, equal_energy=True)
-            for alpha, beta in ((1, 1), (1, 2), (2, 3)):
-                by_ratio = assign(nodes, heads,
-                                          JoinPolicy(ENERGY_DISTANCE, alpha, beta))
-                by_dist = assign(nodes, heads, JoinPolicy(NEAREST))
+            for beta in (1, 2):
+                by_ratio = assign(nodes, heads, beta)
+                by_dist = assign(nodes, heads, None)
                 assert same_assignment(by_ratio, by_dist)
 
     def test_deterministic(self):
         rng = random.Random(23)
         nodes, heads = random_instance(rng, 40, 6)
-        policy = JoinPolicy(ENERGY_DISTANCE, alpha=1, beta=1)
-        assert same_assignment(assign(nodes, heads, policy), assign(nodes, heads, policy))
+        assert same_assignment(assign(nodes, heads, 1), assign(nodes, heads, 1))
 
     def test_brute_force_oracle_small_instances(self):
         # Exhaustive pairwise scores in Python floats, no vectorization: the
@@ -141,9 +132,8 @@ class TestAssignMembers:
         for _ in range(100):
             n = rng.randrange(2, 11)
             nodes, heads = random_instance(rng, n, rng.randrange(1, n))
-            alpha, beta = rng.choice([(1, 1), (1, 2)])
-            out = assign(nodes, heads,
-                                 JoinPolicy(ENERGY_DISTANCE, alpha, beta))
+            beta = rng.choice([1, 2])
+            out = assign(nodes, heads, beta)
             by_id = {x.id: x for x in nodes}
             for m in (x for x in nodes if x.alive and x.id not in set(heads)):
                 best, best_score = None, math.inf
@@ -152,24 +142,22 @@ class TestAssignMembers:
                     d2 = dx * dx + dy * dy
                     floored = max(d2, 1e-24)
                     scaled = math.sqrt(floored) if beta == 1 else floored
-                    energy = by_id[h].residual_energy ** alpha
+                    energy = by_id[h].residual_energy
                     score = 0.0 if d2 == 0 else scaled / energy if energy else math.inf
                     if score < best_score:   # strict: ties keep the lower head id
                         best, best_score = h, score
                 assert out.members[m.id] == best
 
 
-def reference_assign(nodes, heads, policy):
+def reference_assign(nodes, heads, beta):
     """The join rule on a full member x head table, unblocked and unpruned."""
-    members, unassigned, d2 = full_table_assign(list(nodes), heads, policy)
+    members, unassigned, d2 = full_table_assign(list(nodes), heads, beta)
     return ClusterAssignment(np.array(list(members), dtype=np.intp),
                              np.array(list(members.values()), dtype=np.intp),
                              np.array(d2), np.array(unassigned, dtype=np.intp))
 
 
-ORACLE_POLICIES = [JoinPolicy(NEAREST)] + [
-    JoinPolicy(ENERGY_DISTANCE, alpha=a, beta=b)
-    for a, b in ((1.0, 1.0), (1.0, 2.0), (1.0, 3.0), (2.0, 3.0))]
+ORACLE_POLICIES = [None, 1, 2]   # the nearest join, and E_res / d and E_res / d^2
 
 
 def _nudge(rng, v):
@@ -261,10 +249,10 @@ class TestAssignMembersOracle:
         for _ in range(150):
             nodes, heads = oracle_instance(rng, kind)
             net = network_of(nodes)
-            for policy in ORACLE_POLICIES:
-                assert same_assignment(assign_members(net, heads, policy),
-                                       reference_assign(nodes, heads, policy)), \
-                    (kind, policy)
+            for beta in ORACLE_POLICIES:
+                assert same_assignment(assign_members(net, heads, beta),
+                                       reference_assign(nodes, heads, beta)), \
+                    (kind, beta)
 
     def test_multi_block_instance(self):
         rng = random.Random(25)
@@ -272,9 +260,9 @@ class TestAssignMembersOracle:
         heads = rng.sample(range(5500), 500)   # 5 000 x 500, many blocks of rows
         assert 5000 * 9 * membership._HEADS_PER_CELL > membership._BLOCK
         net = network_of(nodes)
-        for policy in ORACLE_POLICIES:
-            assert same_assignment(assign_members(net, heads, policy),
-                                   reference_assign(nodes, heads, policy))
+        for beta in ORACLE_POLICIES:
+            assert same_assignment(assign_members(net, heads, beta),
+                                   reference_assign(nodes, heads, beta))
 
     def test_squared_distance_order_beats_hypot_order(self):
         # d^2 ranks head 1 nearer, np.hypot ranks head 0 nearer; the
@@ -285,8 +273,8 @@ class TestAssignMembersOracle:
         dx2 = [nodes[h].x * nodes[h].x + nodes[h].y * nodes[h].y for h in (0, 1)]
         dist = [float(np.hypot(nodes[h].x, nodes[h].y)) for h in (0, 1)]
         assert dx2[1] < dx2[0] and dist[0] < dist[1]
-        for policy in ORACLE_POLICIES:
-            out = assign(nodes, [0, 1], policy)
+        for beta in ORACLE_POLICIES:
+            out = assign(nodes, [0, 1], beta)
             assert out.members == {2: 1}
             assert out.d2.tolist() == [dx2[1]]
 
@@ -295,19 +283,17 @@ class TestGridPruning:
     """The 3x3 block settles almost every row; few are scored again on all heads."""
 
     @staticmethod
-    def count_rows(network, heads, policy, monkeypatch):
+    def count_rows(network, heads, beta, monkeypatch):
         """Rows sent to the all-heads path after the grid's pass."""
         rows = []
         all_heads = membership._all_heads
         monkeypatch.setattr(membership, "_all_heads",
                             lambda m, *args: (rows.append(m.shape[1]), all_heads(m, *args))[1])
-        out = assign_members(network, heads, policy)
-        assert same_assignment(out, reference_assign(network, heads, policy))
+        out = assign_members(network, heads, beta)
+        assert same_assignment(out, reference_assign(network, heads, beta))
         return sum(rows)
 
-    @pytest.mark.parametrize("policy", [JoinPolicy(NEAREST),
-                                        JoinPolicy(ENERGY_DISTANCE, alpha=1.0, beta=1.0),
-                                        JoinPolicy(ENERGY_DISTANCE, alpha=1.0, beta=2.0)])
+    @pytest.mark.parametrize("policy", ORACLE_POLICIES, ids=["policy0", "policy1", "policy2"])
     def test_few_rows_are_redecided(self, policy, monkeypatch):
         # The simulator's own deployment: uniform positions, 0.5 J normal and
         # 1.0 J advanced heads, as on a large field's early rounds.
@@ -323,6 +309,5 @@ class TestGridPruning:
         heads = random.Random(27).sample(range(5000), 500)
         network.e_res[heads] = 0.05
         network.e_res[heads[0]] = 0.5
-        policy = JoinPolicy(ENERGY_DISTANCE, alpha=1.0, beta=1.0)
-        rows = self.count_rows(network, heads, policy, monkeypatch)
+        rows = self.count_rows(network, heads, 1, monkeypatch)
         assert rows > 0.5 * 4500, rows

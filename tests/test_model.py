@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -22,9 +23,13 @@ def same_network(a, b):
     return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in NETWORK_ARRAYS)
 
 
+def with_bits(radio, bits):
+    return dataclasses.replace(radio, packet_bits=bits)
+
+
 def tx_energy(radio, bits, d2):
-    """tx_energies on a one-element array of squared distances."""
-    return float(tx_energies(radio, bits, np.array([d2]))[0])
+    """tx_energies on a one-element array of squared distances, `bits` per packet."""
+    return float(tx_energies(with_bits(radio, bits), np.array([d2]))[0])
 
 
 def free_space(radio, bits, d2):
@@ -76,20 +81,20 @@ class TestTxEnergy:
 
 class TestRxEnergy:
     def test_value(self, radio):
-        assert rx_energy(radio, 4000) == pytest.approx(2.0e-6)
+        assert rx_energy(radio) == pytest.approx(2.0e-6)
 
     def test_equals_zero_distance_tx(self, radio):
         for bits in (1, 100, 4000):
-            assert rx_energy(radio, bits) == tx_energy(radio, bits, 0.0)
+            assert rx_energy(with_bits(radio, bits)) == tx_energy(radio, bits, 0.0)
 
 
 class TestAggregationEnergy:
     def test_single_signal(self, radio):
-        assert aggregation_energy(radio, 4000) == pytest.approx(2.0e-5)
+        assert aggregation_energy(radio) == pytest.approx(2.0e-5)
 
     def test_ten_signals(self, radio):
         # A head with 9 members aggregates 10 signals, as the engine charges it.
-        assert aggregation_energy(radio, 4000) * 10 == pytest.approx(2.0e-4)
+        assert aggregation_energy(radio) * 10 == pytest.approx(2.0e-4)
 
 
 class TestDistanceThreshold:
@@ -222,7 +227,7 @@ class TestTxEnergies:
         d2 = np.concatenate((d * d, [math.nextafter(d2_0, 0.0), d2_0,
                                      math.nextafter(d2_0, math.inf)]))
         expected = [reference_engine.tx_energy(radio, 4000, x) for x in d2.tolist()]
-        assert tx_energies(radio, 4000, d2).tolist() == expected
+        assert tx_energies(radio, d2).tolist() == expected
 
 
 class TestOrderedSum:

@@ -58,8 +58,8 @@ class TestRegistry:
         assert kep.capped and kep.adaptive_p and kep.energy_weighted
         kef = algorithm("leach-kef-1-2")
         assert kef.capped and not kef.adaptive_p
-        assert kef.join.kind == "energy_distance"
-        assert (kef.join.alpha, kef.join.beta) == (1.0, 2.0)
+        assert kef.join_beta == 2
+        assert kep.join_beta is None
         learning = algorithm("sep-kef-1-1-p-learning")
         assert learning.adaptive_p and learning.learning_kappa
 
