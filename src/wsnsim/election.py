@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat, starmap
 
 import numpy as np
 
 from .model import Network, ordered_sum, round_half_up
 
+
+@lru_cache(maxsize=1024)   # per p, not per round: a run's p moves only on a death
 def epoch_length(p: float) -> int:
     """Rounds per rotation epoch for probability p (nearest integer, >= 1)."""
     return max(1, round_half_up(1.0 / p))
@@ -37,6 +40,7 @@ def sep_probabilities(p: float, a: float, m_frac: float) -> tuple[float, float]:
     return p_nrm, p_nrm * (1.0 + a)
 
 
+@lru_cache(maxsize=1024)   # per p, not per round: a run's p moves only on a death
 def tier_probabilities(p: float, sep_params: tuple[float, float] | None,
                        p_run: float) -> tuple[float, float]:
     """Effective (normal, advanced) probabilities, clamped to [1e-12, 1].
@@ -55,7 +59,7 @@ def tier_probabilities(p: float, sep_params: tuple[float, float] | None,
     return min(1.0, max(p_nrm, 1e-12)), min(1.0, max(p_adv, 1e-12))
 
 
-@dataclass(frozen=True)
+@dataclass
 class ElectionOutcome:
     heads: np.ndarray             # intp node ids, ascending
     candidates_before_cap: int
@@ -89,17 +93,18 @@ def elect_cluster_heads(network: Network, tier_probs: tuple[float, float], round
     """
     ids = (network.alive & network.eligible).nonzero()[0]
     draws = np.fromiter(starmap(rng.random, repeat((), ids.size)), float, ids.size)
-    # The rotating threshold depends only on the tier's p and the round.
+    # The rotating threshold depends only on the tier's p and the round: one
+    # scalar when both tiers share p.
     p_nrm, p_adv = tier_probs
-    thr = np.where(network.advanced[ids], leach_threshold(p_adv, round_no),
-                   leach_threshold(p_nrm, round_no))
+    thr = leach_threshold(p_nrm, round_no)
+    if p_adv != p_nrm:
+        thr = np.where(network.advanced[ids], leach_threshold(p_adv, round_no), thr)
     if energy_weighted:   # scaled by the residual-energy fraction
         fraction = network.e_res / network.e0
         thr = thr * fraction[ids]
         if by_alive_mean and ids.size:   # divided by the alive-mean fraction
-            alive = network.alive
-            thr = np.minimum(1.0, thr / (ordered_sum(fraction[alive])
-                                         / int(np.count_nonzero(alive))))
+            alive = fraction[network.alive]
+            thr = np.minimum(1.0, thr / (ordered_sum(alive) / alive.size))
     candidates = ids[draws < thr]
     before_cap = candidates.size
     if cap is not None and before_cap > cap:

@@ -53,7 +53,8 @@ def assign_members(network: Network, heads, beta: int | None) -> ClusterAssignme
     win. Rows go in blocks: O(N + H + block) memory. The reported d2 is
     dx*dx + dy*dy of the chosen pairs, the value the nearest join scored.
     """
-    head_ids = np.sort(np.asarray(heads, dtype=np.intp))
+    head_ids = np.array(heads, dtype=np.intp)
+    head_ids.sort()
     joining = network.alive.copy()
     joining[head_ids] = False
     member_ids = joining.nonzero()[0]
@@ -61,17 +62,17 @@ def assign_members(network: Network, heads, beta: int | None) -> ClusterAssignme
         none = member_ids[:0]
         return ClusterAssignment(none, none, np.empty(0), none if head_ids.size else member_ids)
 
-    h, m = (np.take(network.xy, ids, axis=1) for ids in (head_ids, member_ids))
+    h, m = network.xy.take(head_ids, axis=1), network.xy.take(member_ids, axis=1)
     weights = None if beta is None else network.e_res[head_ids]
-    with np.errstate(all="ignore"):   # a head of zero energy scores +inf
-        if head_ids.size < _GRID_HEADS:
-            choice = _all_heads(m, h, weights, beta)
-        else:
-            choice, clear = _screen(m, h, weights, beta, *_grid(m, h, weights, beta))
-            rows = np.flatnonzero(~clear)
-            choice[rows] = _all_heads(m[:, rows], h, weights, beta)
-    dx, dy = m[0] - h[0, choice], m[1] - h[1, choice]
-    return ClusterAssignment(member_ids, head_ids[choice], dx * dx + dy * dy, member_ids[:0])
+    if head_ids.size < _GRID_HEADS:
+        choice = _all_heads(m, h, weights, beta)
+    else:
+        choice, clear = _screen(m, h, weights, beta, *_grid(m, h, weights, beta))
+        rows = np.flatnonzero(~clear)
+        choice[rows] = _all_heads(m[:, rows], h, weights, beta)
+    d = m - h.take(choice, axis=1)
+    d *= d
+    return ClusterAssignment(member_ids, head_ids[choice], d[0] + d[1], member_ids[:0])
 
 
 def _score(d2, weights, beta):
@@ -85,7 +86,8 @@ def _score(d2, weights, beta):
     np.maximum(d2, _D2_FLOOR, out=d2)
     if beta == 1:
         np.sqrt(d2, out=d2)
-    d2 /= weights
+    with np.errstate(all="ignore"):   # a head of zero energy scores +inf
+        d2 /= weights
     d2[zero] = 0.0
     return d2
 
@@ -93,15 +95,15 @@ def _score(d2, weights, beta):
 def _all_heads(m, h, weights, beta) -> np.ndarray:
     """Best head index per member (columns of the (2, M) `m`) on every head
     (columns of the (2, H) `h`), in blocks of member rows."""
-    hx, hy = h
+    heads = h[:, None, :]
     step = max(1, _BLOCK // h.shape[1])
     buf = np.empty((2, min(step, m.shape[1]), h.shape[1]))   # shared: fresh blocks page-fault
     choice = np.empty(m.shape[1], dtype=np.intp)
     for lo in range(0, m.shape[1], step):
-        mx, my = m[:, lo:lo + step, None]
-        d2, dy2 = buf[:, :len(mx)]
-        np.square(np.subtract(mx, hx, out=d2), out=d2)
-        d2 += np.square(np.subtract(my, hy, out=dy2), out=dy2)
+        block = m[:, lo:lo + step, None]
+        d = np.subtract(block, heads, out=buf[:, :block.shape[1]])
+        np.multiply(d, d, out=d)
+        d2 = np.add(d[0], d[1], out=d[0])   # dx*dx + dy*dy
         choice[lo:lo + step] = _score(d2, weights, beta).argmin(axis=1)
     return choice
 

@@ -6,6 +6,7 @@ import numbers
 import random
 from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import repeat, starmap
 
 import numpy as np
 
@@ -131,6 +132,8 @@ def tx_energies(params: RadioParams, d2: np.ndarray) -> np.ndarray:
     beyond. IEEE `*` and `+` only, so the bits are alike on every platform."""
     bits = params.packet_bits
     far = d2 > params.fs_amp / params.mp_amp
+    if not np.count_nonzero(far):   # free space only: no multipath arrays
+        return bits * params.elec_energy_per_bit + (bits * params.fs_amp) * d2
     amp = np.where(far, bits * params.mp_amp, bits * params.fs_amp)
     return bits * params.elec_energy_per_bit + amp * (d2 * np.where(far, d2, 1.0))
 
@@ -154,11 +157,12 @@ def deploy_field(config: FieldConfig, rng: random.Random) -> Network:
     order.
     """
     n = config.node_count
-    draws = [rng.uniform(0.0, config.side_m) for _ in range(2 * n)]
+    # rng.uniform(0.0, side) is 0.0 + side * rng.random(): the same bits.
+    draws = np.fromiter(starmap(rng.random, repeat((), 2 * n)), float, 2 * n) * config.side_m
     order = list(range(n))
     rng.shuffle(order)
     advanced = np.zeros(n, dtype=bool)
     advanced[order[:round_half_up(config.advanced_fraction * n)]] = True
     e0 = config.initial_energy
-    return Network(np.array(draws).reshape(n, 2).T.copy(), advanced,
+    return Network(draws.reshape(n, 2).T.copy(), advanced,
                    np.where(advanced, e0 * (1.0 + config.advanced_energy_factor), e0))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,7 +71,7 @@ def algorithm(name: str) -> AlgorithmSpec:
     return spec
 
 
-@dataclass(frozen=True)
+@dataclass
 class RoundRecord:
     round: int
     alive: int
@@ -85,7 +86,12 @@ class RoundRecord:
 
 @dataclass
 class SimulationState:
-    """Mutable per-run state: the network, and what is fixed per run."""
+    """Mutable per-run state: the network, what is fixed per run, and caches.
+
+    A fresh state derives each cache on first use. The learned budget and the
+    dead-advanced count are tagged with the alive count they were derived at:
+    deaths only shrink the alive set, so within a run the count identifies it.
+    """
 
     network: Network
     round: int
@@ -94,6 +100,9 @@ class SimulationState:
     bs_dist: np.ndarray           # each node's sqrt(dx*dx + dy*dy) to the BS, m
     uplink: np.ndarray            # each node's cost of one packet over bs_dist, J
     cumulative_consumed: float = 0.0
+    head_costs: np.ndarray | None = None   # a head's rx + aggregation by member count, J
+    learned: tuple[int, float] = (-1, 0.0)      # (alive count, its learned kappa)
+    dead_advanced: tuple[int, int] = (-1, 0)    # (alive count, its dead advanced nodes)
 
 
 def _geometry_caches(network: Network, bs: tuple[float, float],
@@ -112,12 +121,17 @@ def learning_update(state: SimulationState, radio: RadioParams,
     place of the total node count and the mean alive-node-to-BS distance as
     the representative uplink distance. Before any death these are exactly
     the a-priori inputs, so the budget is a fixed point until the first death.
+    Both depend on the alive set alone: the budget is derived again only when
+    the alive count differs from the one in `state.learned`.
     """
     alive = state.network.alive
-    d_bs = representative_bs_distance(state.bs_dist, alive)
-    if d_bs <= 0:
-        return state.kappa_max_raw
-    return max_clusters(radio, field.side_m, int(np.count_nonzero(alive)), d_bs)
+    count = int(np.count_nonzero(alive))
+    if count != state.learned[0]:
+        d_bs = representative_bs_distance(state.bs_dist, alive)
+        kappa = (max_clusters(radio, field.side_m, count, d_bs) if d_bs > 0
+                 else state.kappa_max_raw)
+        state.learned = (count, kappa)
+    return state.learned[1]
 
 
 def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
@@ -130,7 +144,8 @@ def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
     one role and is charged once; the consumed total adds members, then
     heads, then headless nodes, each in id order. Deaths take effect at the
     end of the round; the adapted probability and (when learning) the
-    cluster budget are recomputed last for the next round.
+    cluster budget are recomputed last for the next round. The dead-advanced
+    count is redone only on a death (see SimulationState).
     """
     net = state.network
     sep_params = ((field.advanced_energy_factor, field.advanced_fraction)
@@ -143,13 +158,17 @@ def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
                                 by_alive_mean=algo.adaptive_p, cap=cap).heads
     assignment = assign_members(net, heads, algo.join_beta)
 
-    counts = np.bincount(assignment.head_ids, minlength=len(net))[heads]
-    head_cost = (counts * rx_energy(radio) + aggregation_energy(radio) * (counts + 1)
-                 + state.uplink[heads])
-    headless = assignment.unassigned_ids
-    charged = np.concatenate((assignment.member_ids, heads, headless))
-    cost = np.concatenate((tx_energies(radio, assignment.d2), head_cost,
-                           state.uplink[headless]))
+    if heads.size:   # with heads, every alive non-head is a member
+        if state.head_costs is None:
+            c = np.arange(len(net) + 1)
+            state.head_costs = c * rx_energy(radio) + aggregation_energy(radio) * (c + 1)
+        counts = np.bincount(assignment.head_ids, minlength=len(net))[heads]
+        charged = np.concatenate((assignment.member_ids, heads))
+        cost = np.concatenate((tx_energies(radio, assignment.d2),
+                               state.head_costs[counts] + state.uplink[heads]))
+    else:            # without, every alive node goes direct to the BS
+        charged = assignment.unassigned_ids
+        cost = state.uplink[charged]
     residual = net.e_res[charged]
     drawn = np.minimum(cost, residual)
     net.e_res[charged] = residual - drawn
@@ -158,7 +177,9 @@ def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
 
     n = len(net)
     alive = int(np.count_nonzero(net.alive))
-    dead_advanced = int(np.count_nonzero(net.advanced & ~net.alive))
+    if state.dead_advanced[0] != alive:
+        state.dead_advanced = (alive, int(np.count_nonzero(net.advanced & ~net.alive)))
+    dead_advanced = state.dead_advanced[1]
     record = RoundRecord(round=state.round, alive=alive, dead_total=n - alive,
                          dead_normal=n - alive - dead_advanced,
                          dead_advanced=dead_advanced, head_count=heads.size,
@@ -180,16 +201,24 @@ def _config_hash(field: FieldConfig, radio: RadioParams) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+@lru_cache(maxsize=64)
+def _check_range(side_m: float, radio: RadioParams) -> None:
+    """Raise unless the field diagonal's d^2 = 2 * side_m^2, which no d^2 of a
+    run exceeds, is positive with a finite uplink. Once per (side, radio): a
+    passing pair is cached, and a failing one raises on every call."""
+    diag = 2.0 * side_m * side_m
+    with np.errstate(over="ignore"):
+        worst = tx_energies(radio, np.array(diag))
+    _require("side_m", side_m, diag > 0 and worst < np.inf,
+             "such that the diagonal's d^2 = 2 * side_m^2 is positive and its uplink finite")
+
+
 def run_simulation(field: FieldConfig, radio: RadioParams,
                    algo: AlgorithmSpec | str, seed: int) -> "reporting.SimulationSummary":
     """Deploy a field and run rounds until max_rounds or total extinction."""
     if isinstance(algo, str):
         algo = algorithm(algo)
-    diag = 2.0 * field.side_m * field.side_m   # range check: no d^2 of the run exceeds it
-    with np.errstate(over="ignore"):
-        worst = tx_energies(radio, np.array(diag))
-    _require("side_m", field.side_m, diag > 0 and worst < np.inf,
-             "such that the diagonal's d^2 = 2 * side_m^2 is positive and its uplink finite")
+    _check_range(field.side_m, radio)
     rng = random.Random(seed)
     network = deploy_field(field, rng)
     bs_dist, uplink = _geometry_caches(network, field.bs_position, radio)

@@ -217,6 +217,17 @@ class TestDeployField:
         assert same_network(net, reference_engine.network_of(nodes))
         assert rng_a.random() == rng_b.random()
 
+    @pytest.mark.parametrize("side", [0.1, 100.0, 1e-155])
+    @pytest.mark.parametrize("seed", [0, 8, 2024])
+    def test_positions_are_the_bits_of_rng_uniform(self, side, seed):
+        # The bulk draw scales rng.random() by side_m, which is what
+        # rng.uniform(0.0, side_m) computes (0.0 + side_m * random()).
+        field = FieldConfig(side_m=side, node_count=64, bs_position=(side / 2, side / 2))
+        rng_a, rng_b = random.Random(seed), random.Random(seed)
+        net = deploy_field(field, rng_a)
+        draws = np.array([rng_b.uniform(0.0, side) for _ in range(2 * 64)])
+        assert np.array_equal(net.xy.T.ravel().view(np.uint64), draws.view(np.uint64))
+
 
 class TestTxEnergies:
     def test_equals_the_scalar_formula_bit_for_bit(self, radio):
@@ -228,6 +239,20 @@ class TestTxEnergies:
                                      math.nextafter(d2_0, math.inf)]))
         expected = [reference_engine.tx_energy(radio, 4000, x) for x in d2.tolist()]
         assert tx_energies(radio, d2).tolist() == expected
+
+    @pytest.mark.parametrize("case", ["all-near", "empty", "mixed"])
+    @pytest.mark.parametrize("bits", [1, 4000, 9973])
+    def test_free_space_shortcut_keeps_the_bits(self, radio, case, bits):
+        # An array with no d2 beyond the crossover skips the multipath arrays;
+        # with or without them, the bits are the Python-float formula's.
+        radio = with_bits(radio, bits)
+        d2_0 = crossover(radio)
+        near = np.random.default_rng(bits).uniform(0.0, d2_0, 2_000)
+        d2 = {"all-near": np.append(near, [0.0, d2_0]), "empty": np.empty(0),
+              "mixed": np.append(near, [math.nextafter(d2_0, math.inf), 4 * d2_0])}[case]
+        got = tx_energies(radio, d2)
+        expected = [reference_engine.tx_energy(radio, bits, x) for x in d2.tolist()]
+        assert got.shape == d2.shape and got.tolist() == expected
 
 
 class TestOrderedSum:

@@ -116,6 +116,15 @@ class TestRunSimulation:
         assert s.rounds_executed == 0
         assert s.first_death_round is None
 
+    @pytest.mark.parametrize("side", [1e100, 1e-200])
+    def test_bad_range_raises_on_every_call(self, radio, side):
+        # The range check remembers only (side, radio) pairs that pass.
+        field = FieldConfig(side_m=side, bs_position=(0.0, 0.0), max_rounds=0)
+        for seed in (0, 0, 1):
+            with pytest.raises(ValueError, match="side_m must be such that"):
+                run_simulation(field, radio, "leach", seed)
+        assert run_simulation(small_field(max_rounds=0), radio, "leach", 0).series == []
+
     def test_deterministic_summaries(self, radio):
         field = small_field()
         a = run_simulation(field, radio, "sep-kef-1-2-p", 7)
@@ -312,6 +321,29 @@ class TestLearningUpdate:
         state.bs_dist = np.array([1.0] + [1e-16] * 10)
         expected = max_clusters(radio, field.side_m, 11, 1.0 / 11)
         assert learning_update(state, radio, field) == expected
+
+    @pytest.mark.parametrize("name", ["leach-kef-1-1-p-learning", "leach-kef-1-2-p-learning",
+                                      "sep-kef-1-1-p-learning", "sep-kef-1-2-p-learning"])
+    def test_cached_budget_and_dead_count_equal_fresh_ones(self, name):
+        # The engine re-derives both only when the alive count moves; on every
+        # round of a run to extinction they must equal a fresh derivation.
+        field = FieldConfig(node_count=40, max_rounds=3000, initial_energy=0.02,
+                            advanced_fraction=0.3)
+        radio, algo, rng = RadioParams(), algorithm(name), random.Random(5)
+        net = deploy_field(field, rng)
+        state = make_state(net, field.bs_position, radio=radio)
+        state.kappa_max_raw = max_clusters(radio, field.side_m, field.node_count,
+                                           representative_bs_distance(state.bs_dist, net.alive))
+        kappas = set()
+        while net.alive.any():
+            rec = run_round(state, algo, radio, field, rng)
+            assert rec.dead_advanced == int(np.count_nonzero(net.advanced & ~net.alive))
+            alive = int(np.count_nonzero(net.alive))
+            if alive:
+                d_bs = representative_bs_distance(state.bs_dist, net.alive)
+                assert state.kappa_max_raw == max_clusters(radio, field.side_m, alive, d_bs)
+                kappas.add(state.kappa_max_raw)
+        assert rec.dead_advanced == 12 and len(kappas) > 10
 
     def test_learning_run_shrinks_budget_as_nodes_die(self):
         field = FieldConfig(node_count=40, max_rounds=1500, initial_energy=0.05)
