@@ -5,6 +5,10 @@ energy-distance ratio E_res / d^beta for beta 1 or 2, using the head's
 residual energy at the start of the round. Both are decided on one score per
 member-head pair, computed from the squared distance d^2 = dx*dx + dy*dy in
 IEEE doubles (see _score), which the charge reads.
+
+With many heads a member is scored only on the heads of nearby grid cells.
+Nodes never move, so each node's cell and guard gap are computed once per run
+and grid shape (see _bin_nodes), and a round only bins its heads.
 """
 from __future__ import annotations
 
@@ -18,11 +22,11 @@ from .model import Network
 
 _D2_FLOOR = 1e-24        # a 1e-12 m distance floor, squared: only co-located pairs score 0
 _BLOCK = 32768           # member x candidate entries per block; temporaries stay in cache
-_HEADS_PER_CELL = 4      # grid density: a 3x3 block holds ~36 candidate heads
-_GRID_HEADS = 128        # fewer heads: a grid of ~30 cells prunes less than it costs
+_HEADS_PER_CELL = 2      # grid density: a 3x3 block holds ~18 candidate heads (36 for E/d)
+_GRID_HEADS = 64         # fewer heads: scoring every head is as fast as the grid
 _SLACK = 1e-9            # guard margin per unit of coordinate: covers cell and edge rounding
 _NEIGHBOURS = np.array([[-1, -1, -1, 0, 0, 0, 1, 1, 1],
-                        [-1, 0, 1, -1, 0, 1, -1, 0, 1]])[:, :, None]   # 3x3 cell offsets
+                        [-1, 0, 1, -1, 0, 1, -1, 0, 1]])   # 3x3 cell offsets
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +71,8 @@ def assign_members(network: Network, heads, beta: int | None) -> ClusterAssignme
     if head_ids.size < _GRID_HEADS:
         choice = _all_heads(m, h, weights, beta)
     else:
-        choice, clear = _screen(m, h, weights, beta, *_grid(m, h, weights, beta))
+        choice, clear = _screen(m, h, weights, beta,
+                                *_grid(network, head_ids, member_ids, weights, beta))
         rows = np.flatnonzero(~clear)
         choice[rows] = _all_heads(m[:, rows], h, weights, beta)
     d = m - h.take(choice, axis=1)
@@ -108,56 +113,63 @@ def _all_heads(m, h, weights, beta) -> np.ndarray:
     return choice
 
 
-def _grid(m, h, weights, beta):
+def _grid(network, head_ids, member_ids, weights, beta):
     """A candidate table of heads per grid cell, each member's row in it, and
     a lower bound per member on the score of every head not in its row.
 
-    The heads are binned on a uniform grid over their bounding box, and row c
-    of the table lists the heads of the 3x3 block of cells around cell c. A
-    member outside the box takes the nearest edge cell.
+    Row c of the table lists the heads of the 3x3 block of cells around cell
+    c. The grid, each node's cell and each node's guard gap come from
+    `_bin_nodes`, once per run and cell count.
     """
-    n_heads = h.shape[1]
-    cells = max(1, round(n_heads / _HEADS_PER_CELL))
-    origin = h.min(axis=1, keepdims=True)
-    span = h.max(axis=1, keepdims=True) - origin
-    span_x, span_y = span.ravel().tolist()
-    if span_x > 0 and span_y > 0:   # cells as square as the box allows
-        nx = round(min(cells, math.sqrt(cells * span_x / span_y))) or 1
-        shape = (nx, max(1, round(cells / nx)))
-    else:                           # all heads on one line, or on one point
-        shape = (cells if span_x > 0 else 1, cells if span_y > 0 else 1)
-    n = np.array(shape)[:, None]
-    size = np.where(span > 0, span / n, 1.0)
-
-    def cell_of(p):   # (2, k) positions -> (2, k) cell indices, clamped to the grid
-        return np.clip(np.floor((p - origin) / size), 0, n - 1).astype(np.intp)
+    n_heads = head_ids.size
+    density = _HEADS_PER_CELL * (2 if beta == 1 else 1)   # E/d: the loosest guard
+    cells = max(1, round(n_heads / density))
+    cells &= -1 << max(0, cells.bit_length() - 3)   # keep 3 leading bits: a run builds few grids
+    if cells not in network.grids:   # built in the first round that needs it
+        network.grids[cells] = _bin_nodes(network.xy, cells)
+    (nx, ny), cell, gap2 = network.grids[cells]
 
     # Candidate table: row c lists, in ascending head index, every head in the
     # 3x3 block around cell c; short rows are padded with the sentinel index
-    # n_heads, a head at +inf that never wins.
-    t = cell_of(h)[:, None, :] + _NEIGHBOURS                    # (2, 9, H)
-    inside = ((t >= 0) & (t < n[:, :, None])).all(axis=0)
-    key = (t[0] * shape[1] + t[1]) * n_heads + np.arange(n_heads)
-    target, head = np.divmod(np.sort(key[inside]), n_heads)
-    counts = np.bincount(target, minlength=shape[0] * shape[1])
+    # n_heads, a head at +inf that never wins. Listed head-major, each head's
+    # 9 target cells sort stably into rows of ascending head index.
+    target = (cell.take(head_ids)[:, None] + (_NEIGHBOURS[0] * ny + _NEIGHBOURS[1])).ravel()
+    order = target.astype(np.min_scalar_type(nx * ny)).argsort(kind="stable")   # radix up to 16 bits
+    target = target[order]
+    counts = np.bincount(target, minlength=nx * ny)
     table = np.full((counts.size, counts.max()), n_heads)
-    table[target, np.arange(target.size) - (np.cumsum(counts) - counts)[target]] = head
-
-    # Guard: every head outside a member's block lies at least `gap` away,
-    # the distance to the block's nearest inner edge, as no head lies beyond
-    # a grid edge. A member outside the heads' box keeps a finite gap, and its
-    # row usually fails the guard because its best head is far. The slack
-    # covers rounding in the cell and edge arithmetic.
-    slack = _SLACK * max(np.abs(h).max(), np.abs(m).max())
-    i = cell_of(m)
-    below = np.where(i >= 2, m - (origin + (i - 1) * size), np.inf)
-    above = np.where(i <= n - 3, origin + (i + 2) * size - m, np.inf)
-    gap = np.maximum(np.minimum(below, above).min(axis=0) - slack, 0.0)
-    member_cell = i[0] * shape[1] + i[1]
+    table[target, np.arange(target.size) - (np.cumsum(counts) - counts)[target]] = order // 9
     # For the energy-distance join the bound takes the largest head weight,
     # so it is loose once head energies spread apart late in a run.
-    guard = _score(gap * gap, None if weights is None else weights.max(), beta)
-    return table, member_cell, guard
+    guard = _score(gap2.take(member_ids), None if weights is None else weights.max(), beta)
+    return table, cell.take(member_ids), guard
+
+
+def _bin_nodes(xy, cells):
+    """A grid of about `cells` cells, as square as the bounding box of all
+    nodes allows, with a border of empty cells so that each 3x3 block lies at
+    fixed offsets from its centre: its (rows, columns), each node's flat cell
+    index, and each node's squared guard gap. Every node outside a node's 3x3
+    block lies at least the gap away: the distance to the block's nearest
+    inner edge (+inf where the block reaches the grid edge on every side),
+    less a slack that covers rounding in the cell and edge arithmetic.
+    """
+    origin = xy.min(axis=1, keepdims=True)
+    span = xy.max(axis=1, keepdims=True) - origin
+    span_x, span_y = span.ravel().tolist()
+    if span_x > 0 and span_y > 0:
+        nx = round(min(cells, math.sqrt(cells * span_x / span_y))) or 1
+        shape = (nx, max(1, round(cells / nx)))
+    else:   # all nodes on one line, or on one point
+        shape = (cells if span_x > 0 else 1, cells if span_y > 0 else 1)
+    n = np.array(shape)[:, None]
+    size = np.where(span > 0, span / n, 1.0)
+    i = np.clip(np.floor((xy - origin) / size), 0, n - 1).astype(np.intp)
+    below = np.where(i >= 2, xy - (origin + (i - 1) * size), np.inf)
+    above = np.where(i <= n - 3, origin + (i + 2) * size - xy, np.inf)
+    gap = np.maximum(np.minimum(below, above).min(axis=0) - _SLACK * np.abs(xy).max(), 0.0)
+    cell = (i[0] + 1) * (shape[1] + 2) + (i[1] + 1)
+    return (shape[0] + 2, shape[1] + 2), cell.astype(np.min_scalar_type(cell.max())), gap * gap
 
 
 def _screen(m, h, weights, beta, table, member_row, guard):

@@ -98,12 +98,13 @@ NodeRecord = namedtuple("NodeRecord", "id x y advanced initial_energy "
 class Network:
     """The field's nodes as one array per attribute; index i is node i."""
 
-    xy: np.ndarray                          # (2, N) positions, m
+    xy: np.ndarray                          # (2, N) positions, m; nodes never move
     advanced: np.ndarray                    # bool: the advanced tier
     e0: np.ndarray                          # initial energy, J
     e_res: np.ndarray = field(init=False)   # residual energy, J
     alive: np.ndarray = field(init=False)
     eligible: np.ndarray = field(init=False)  # may still serve as head this epoch
+    grids: dict = field(init=False, default_factory=dict)   # membership's, by cell count
 
     def __post_init__(self) -> None:
         self.e_res = self.e0.copy()

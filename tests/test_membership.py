@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_engine import Node, full_table_assign, network_of
-from wsnsim import FieldConfig, membership
+from wsnsim import FieldConfig, RadioParams, membership, run_simulation, simulator
 from wsnsim.membership import ClusterAssignment, assign_members
 from wsnsim.model import deploy_field
 
@@ -311,3 +313,74 @@ class TestGridPruning:
         network.e_res[heads[0]] = 0.5
         rows = self.count_rows(network, heads, 1, monkeypatch)
         assert rows > 0.5 * 4500, rows
+
+
+@st.composite
+def node_positions(draw):
+    """(2, N) node positions: uniform, on a lattice of twelfths of the box
+    (co-located nodes, nodes on cell edges or one ulp off), on one line or on
+    one point, at sides from 1e-155 to 1e80, some far from the origin."""
+    n = draw(st.integers(1, 40))
+    side = draw(st.sampled_from((1e-155, 1e-3, 1.0, 100.0, 1e80)))
+    layout = draw(st.sampled_from(("uniform", "lattice", "row", "column", "diagonal", "point")))
+    unit = (st.tuples(st.integers(0, 12), st.sampled_from((-1, 0, 0, 1))).map(
+        lambda k: np.nextafter(k[0] / 12, k[1] * np.inf) if k[1] else k[0] / 12)
+        if layout == "lattice" else st.floats(0.0, 1.0))
+    xy = np.array(draw(st.lists(st.tuples(unit, unit), min_size=n, max_size=n))).T * side
+    if layout == "lattice" and n >= 2:   # the box spans the whole lattice
+        xy[:, :2] = [[0.0, side], [0.0, side]]
+    if layout in ("row", "point"):
+        xy[1] = xy[1, 0]
+    if layout in ("column", "point"):
+        xy[0] = xy[0, 0]
+    if layout == "diagonal":
+        xy[1] = xy[0]
+    return xy + draw(st.sampled_from((0.0, side, 1e3 * side)))
+
+
+class TestRunGrid:
+    """The grid over all nodes, built once per run and cell count."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(node_positions(), st.integers(1, 64))
+    def test_guard_gap_bounds_every_node_outside_the_block(self, xy, cells):
+        # Sound guard: no node outside a node's 3x3 block is nearer, in the
+        # d^2 that the join scores, than the node's cached squared gap.
+        (rows, cols), cell, gap2 = membership._bin_nodes(xy, cells)
+        i, j = np.divmod(cell.astype(np.intp), cols)
+        assert ((1 <= i) & (i <= rows - 2) & (1 <= j) & (j <= cols - 2)).all()
+        outside = (abs(i[:, None] - i) >= 2) | (abs(j[:, None] - j) >= 2)
+        dx, dy = xy[0][:, None] - xy[0], xy[1][:, None] - xy[1]
+        d2 = dx * dx + dy * dy
+        assert (gap2[:, None] <= d2)[outside].all()
+
+    def test_fresh_network_has_no_grid(self):
+        network = deploy_field(FieldConfig(node_count=2000), random.Random(28))
+        assert network.grids == {}
+        assign_members(network, random.Random(29).sample(range(2000), 200), None)
+        assert len(network.grids) == 1
+        assert deploy_field(FieldConfig(node_count=2000), random.Random(28)).grids == {}
+
+    def test_grid_shapes_change_and_nodes_die_between_calls(self):
+        network = deploy_field(FieldConfig(node_count=3000), random.Random(30))
+        network.e_res[:] = np.random.default_rng(31).uniform(0.01, 1.0, 3000)
+        rng = random.Random(32)
+        for count in (600, 70, 300, 70, 600, 150, 2000):
+            alive = np.flatnonzero(network.alive).tolist()
+            heads = rng.sample(alive, count)
+            for beta in ORACLE_POLICIES:
+                assert same_assignment(assign_members(network, heads, beta),
+                                       reference_assign(network, heads, beta)), (count, beta)
+            dead = rng.sample(alive, 100)
+            network.e_res[dead] = 0.0
+            network.alive[dead] = False
+        assert len(network.grids) >= 5
+
+    def test_large_field_run_builds_few_grids(self, monkeypatch):
+        networks = []
+        join = simulator.assign_members
+        monkeypatch.setattr(simulator, "assign_members", lambda network, *args: (
+            networks.append(network), join(network, *args))[1])
+        run_simulation(FieldConfig(node_count=5000, max_rounds=40), RadioParams(), "leach", 0)
+        assert len(networks) == 40 and all(n is networks[0] for n in networks)
+        assert 1 <= len(networks[0].grids) <= 4
