@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .model import FieldConfig, RadioParams
 from .reporting import write_round_csv, write_summary_json
-from .simulator import algorithm, algorithm_names, run_simulation
+from .simulator import _check_range, algorithm, algorithm_names, run_simulation
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -131,6 +131,7 @@ def _build(settings) -> RunConfig:
     try:
         cfg.field = FieldConfig(**owners["field"])
         cfg.radio = RadioParams(**owners["radio"])
+        _check_range(cfg.field.side_m, cfg.radio)   # the diagonal's d^2 and uplink
     except (ValueError, ArithmeticError) as exc:   # e.g. nodes beyond the float range
         # Where the first field the message names was set: a cross-field check
         # leads with the field it bounds, which may have kept its default.

@@ -3,15 +3,66 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import starmap
+from operator import add
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .simulator import RoundRecord
+from struct import Struct
+from typing import NamedTuple
 
 CSV_HEADER = ("round,alive,dead_total,dead_normal,dead_advanced,"
               "head_count,residual_energy_j,p_used,kappa_used")
+
+
+class RoundRecord(NamedTuple):
+    round: int
+    alive: int
+    dead_total: int
+    dead_normal: int
+    dead_advanced: int
+    head_count: int
+    residual_energy_total: float
+    p_used: float
+    kappa_used: float
+
+
+_COUNTS, _FLOATS = Struct("6q"), Struct("3d")   # a RoundRecord's counts, then its floats
+
+
+class RoundSeries(Sequence):
+    """An append-only run of RoundRecords held as two column arrays, 72 bytes
+    a round: round i's six counts at [6i, 6i + 6) of an array('q'), its three
+    floats at [3i, 3i + 3) of an array('d'). Both give back the Python ints
+    and the bit-identical doubles they were given."""
+
+    def __init__(self) -> None:
+        self._counts = array("q")
+        self._floats = array("d")
+
+    def append(self, record: RoundRecord) -> None:
+        # Packed and copied in C: array.extend would convert item by item.
+        self._counts.frombytes(_COUNTS.pack(*record[:6]))
+        self._floats.frombytes(_FLOATS.pack(*record[6:]))
+
+    def __len__(self) -> int:
+        return len(self._floats) // 3
+
+    def __getitem__(self, i: int) -> RoundRecord:
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("round series index out of range")
+        i %= n
+        return RoundRecord(*_COUNTS.unpack_from(self._counts, _COUNTS.size * i),
+                           *_FLOATS.unpack_from(self._floats, _FLOATS.size * i))
+
+    def __iter__(self) -> Iterator[RoundRecord]:
+        rows = map(add, _COUNTS.iter_unpack(self._counts), _FLOATS.iter_unpack(self._floats))
+        return starmap(RoundRecord, rows)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
 
 @dataclass
@@ -22,15 +73,15 @@ class SimulationSummary:
     half_death_round: int | None
     last_death_round: int | None
     rounds_executed: int
-    series: list["RoundRecord"]
+    series: Sequence[RoundRecord]
     metadata: dict[str, str]
     # In-memory diagnostics, not serialized: total initial energy and the
     # cumulative consumed energy after each round (conservation checks).
     initial_energy_total: float = 0.0
-    consumed_series: list[float] = field(default_factory=list)
+    consumed_series: Sequence[float] = field(default_factory=list)
 
 
-def stability_metrics(series: list["RoundRecord"],
+def stability_metrics(series: Sequence[RoundRecord],
                       n: int) -> tuple[int | None, int | None, int | None]:
     """(first, half, last) death rounds; None where the event never happens.
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,6 +17,7 @@ from .membership import assign_members
 from .model import (FieldConfig, Network, RadioParams, _require, aggregation_energy,
                     deploy_field, ordered_sum, round_half_up, rx_energy,
                     tx_energies)
+from .reporting import RoundRecord
 
 RNG_ALGORITHM = "python-random-mt19937"
 
@@ -69,19 +71,6 @@ def algorithm(name: str) -> AlgorithmSpec:
         raise ValueError(f"unknown algorithm {name!r}; "
                          f"known: {', '.join(REGISTRY)}")
     return spec
-
-
-@dataclass
-class RoundRecord:
-    round: int
-    alive: int
-    dead_total: int
-    dead_normal: int
-    dead_advanced: int
-    head_count: int
-    residual_energy_total: float
-    p_used: float
-    kappa_used: float
 
 
 @dataclass
@@ -180,11 +169,10 @@ def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
     if state.dead_advanced[0] != alive:
         state.dead_advanced = (alive, int(np.count_nonzero(net.advanced & ~net.alive)))
     dead_advanced = state.dead_advanced[1]
-    record = RoundRecord(round=state.round, alive=alive, dead_total=n - alive,
-                         dead_normal=n - alive - dead_advanced,
-                         dead_advanced=dead_advanced, head_count=heads.size,
-                         residual_energy_total=ordered_sum(net.e_res),
-                         p_used=state.p_effective, kappa_used=state.kappa_max_raw)
+    # In the CSV's column order; positional arguments cost half of keywords.
+    record = RoundRecord(state.round, alive, n - alive, n - alive - dead_advanced,
+                         dead_advanced, heads.size, ordered_sum(net.e_res),
+                         state.p_effective, state.kappa_max_raw)
 
     if alive > 0:
         # The budget evolves first so the adapted probability sees it.
@@ -230,13 +218,14 @@ def run_simulation(field: FieldConfig, radio: RadioParams,
                             p_effective=field.base_probability, bs_dist=bs_dist,
                             uplink=uplink)
 
-    series: list[RoundRecord] = []
-    consumed_series: list[float] = []
+    series = reporting.RoundSeries()
+    consumed_series = array("d")
     alive = len(network)
-    while alive and len(series) < field.max_rounds:
-        series.append(run_round(state, algo, radio, field, rng))
+    while alive and len(consumed_series) < field.max_rounds:
+        record = run_round(state, algo, radio, field, rng)
+        series.append(record)
         consumed_series.append(state.cumulative_consumed)
-        alive = series[-1].alive
+        alive = record.alive
 
     first, half, last = reporting.stability_metrics(series, field.node_count)
     return reporting.SimulationSummary(

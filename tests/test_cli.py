@@ -13,14 +13,19 @@ from wsnsim.cli import (_SCALAR_KEYS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, Config
 
 # Settings that pass the per-field checks but whose arithmetic leaves the float
 # range, each with its exit code and the part of its one-line error that names
-# the settings. The per-run checks exit 2 (runtime error); the radio-only
-# crossover is checked by RadioParams when the config is read, so it exits 1.
+# the settings. The crossover (by RadioParams) and the field diagonal (of the
+# side and the radio) are checked when the config is read, so they exit 1 and
+# name the line; the kappa check depends on the deployment, so it runs per run
+# and exits 2 (runtime error).
 OUT_OF_RANGE = {
-    "side = 1e100": (EXIT_RUNTIME, "side_m"),       # the diagonal's d^2 * d^2 overflows
-    "side = 1e-200\nbs_x = 0": (EXIT_RUNTIME, "side_m"),   # the diagonal's d^2 underflows to 0
+    # the diagonal's d^2 * d^2 overflows
+    "side = 1e100": (EXIT_CONFIG, "line 1: key 'side': side_m"),
+    # the diagonal's d^2 underflows to 0
+    "side = 1e-200\nbs_x = 0": (EXIT_CONFIG, "line 1: key 'side': side_m"),
     # the crossover d^2 overflows
     "fs_amp = 1e100\nmp_amp = 1e-300": (EXIT_CONFIG, "fs_amp / mp_amp"),
-    "side = 1e80": (EXIT_RUNTIME, "side_m"),        # d^2 is finite, d^2 * d^2 is not
+    # d^2 is finite, d^2 * d^2 is not
+    "side = 1e80": (EXIT_CONFIG, "line 1: key 'side': side_m"),
     # d_opt^2 underflows
     "side = 1e-155": (EXIT_RUNTIME, "kappa of side_m, node_count, fs_amp and mp_amp"),
 }

@@ -46,7 +46,7 @@ def outputs(s):
         return type(s), str(s)
     full = [(r.residual_energy_total, r.p_used, r.kappa_used) for r in s.series]
     return (round_csv_text(s), summary_json_text([s]), repr(s.initial_energy_total),
-            repr(full), repr(s.consumed_series))
+            repr(full), repr(list(s.consumed_series)))
 
 
 def assert_invariants(s, field, spec):

@@ -4,7 +4,8 @@ import pytest
 
 from wsnsim import (FieldConfig, RadioParams, RoundRecord, SimulationSummary,
                     run_simulation, write_round_csv, write_summary_json)
-from wsnsim.reporting import CSV_HEADER, round_csv_text, stability_metrics, summary_json_text
+from wsnsim.reporting import (CSV_HEADER, RoundSeries, round_csv_text, stability_metrics,
+                              summary_json_text)
 
 
 def rec(round_no, dead, alive=None, n=100):
@@ -22,6 +23,53 @@ def summary(series, **kw):
                               "config_hash": "abc"})
     defaults.update(kw)
     return SimulationSummary(**defaults)
+
+
+def series_of(records):
+    series = RoundSeries()
+    for r in records:
+        series.append(r)
+    return series
+
+
+class TestRoundSeries:
+    RECORDS = [rec(0, 0), rec(1, 3), RoundRecord(2, 0, 100, 97, 3, 0, 0.0, 1.0, 2.5e-300)]
+
+    def test_len_and_truth(self):
+        assert len(RoundSeries()) == 0 and not RoundSeries()
+        assert len(series_of(self.RECORDS)) == 3 and series_of(self.RECORDS)
+
+    def test_index_from_either_end(self):
+        series = series_of(self.RECORDS)
+        for i, r in enumerate(self.RECORDS):
+            assert series[i] == r and series[i - 3] == r
+            assert type(series[i]) is RoundRecord
+        assert series[-1].alive == 0 and series[0].kappa_used == 14.0
+
+    @pytest.mark.parametrize("index", [3, -4, 100])
+    def test_index_past_either_end_raises(self, index):
+        with pytest.raises(IndexError):
+            series_of(self.RECORDS)[index]
+
+    def test_iterates_records_in_order(self):
+        records = list(series_of(self.RECORDS))
+        assert records == self.RECORDS
+        assert all(type(r) is RoundRecord for r in records)
+        assert [type(v) for v in records[2]] == [int] * 6 + [float] * 3
+
+    def test_equality(self):
+        series = series_of(self.RECORDS)
+        assert series == self.RECORDS and self.RECORDS == series
+        assert series == series_of(self.RECORDS)
+        assert series != self.RECORDS[:2] and series != series_of(self.RECORDS[1:])
+        assert series != series_of(self.RECORDS[:2] + [rec(2, 4)])
+        assert RoundSeries() == [] and RoundSeries() == RoundSeries()
+
+    def test_readers_take_a_series_or_a_list(self):
+        series = series_of(self.RECORDS)
+        assert round_csv_text(summary(series)) == round_csv_text(summary(self.RECORDS))
+        assert stability_metrics(series, 100) == stability_metrics(self.RECORDS, 100) \
+            == (1, 2, 2)
 
 
 class TestStabilityMetrics:

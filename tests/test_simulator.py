@@ -1,9 +1,11 @@
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +356,24 @@ class TestLearningUpdate:
 
 
 class TestMemory:
+    @pytest.mark.parametrize("name", ["leach", "sep-kef-1-2-p-learning"])
+    def test_round_series_holds_under_150_bytes_per_round(self, name):
+        # A lifetime batch keeps every round of every run until it ends; as
+        # column arrays a round is 9 x 8 bytes, as objects over 240.
+        run_simulation(FieldConfig(), RadioParams(), name, 1)   # fill the process-wide caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            s = run_simulation(FieldConfig(), RadioParams(), name, 0)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert s.last_death_round is not None and s.rounds_executed > 1000
+        assert held / s.rounds_executed < 150, \
+            f"{held / s.rounds_executed:.0f} B per round over {s.rounds_executed} rounds"
+
     def test_ten_thousand_nodes_stay_under_300_mb(self):
         # Member x head distances are computed per round in blocks, so peak
         # memory is O(N + block); an N x N float64 table alone is 800 MB here.
