@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import repeat, starmap
@@ -21,9 +22,12 @@ def _require(name: str, value, ok: bool, want: str) -> None:
         raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
-def _require_int(name: str, value, low: int) -> None:
+def _require_int(name: str, value, low: int, as_float: bool = True) -> None:
+    """An integer >= low; unless `as_float` is False, one a float can hold."""
     _require(name, value, not isinstance(value, bool) and isinstance(value, numbers.Integral)
              and value >= low, f"an integer >= {low}")
+    _require(name, value, not as_float or value <= sys.float_info.max,
+             "not too large for a float")
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,8 @@ class RadioParams:
             value = getattr(self, name)
             _require(name, value, 0 < value < math.inf, "finite and strictly positive")
         _require_int("packet_bits", self.packet_bits, 1)
+        _require("packet_bits * elec_energy_per_bit",   # a packet's electronics cost
+                 rx := self.packet_bits * self.elec_energy_per_bit, rx < math.inf, "finite")
         _require("fs_amp", self.fs_amp, self.fs_amp > self.mp_amp,   # crossover > 1 m
                  f"greater than mp_amp ({self.mp_amp!r})")
         _require("fs_amp / mp_amp", ratio := self.fs_amp / self.mp_amp,   # the crossover d^2
@@ -74,7 +80,7 @@ class FieldConfig:
         for axis, value in zip("xy", self.bs_position):
             _require(f"bs_position {axis}", value, math.isfinite(value), "finite")
         _require_int("node_count", self.node_count, 1)
-        _require_int("max_rounds", self.max_rounds, 0)
+        _require_int("max_rounds", self.max_rounds, 0, as_float=False)   # only compared
         _require("side_m", self.side_m, self.side_m > 0, "positive")
         p, m, a, e0 = (self.base_probability, self.advanced_fraction,
                        self.advanced_energy_factor, self.initial_energy)

@@ -6,14 +6,13 @@ import math
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import starmap
-from operator import add
 from pathlib import Path
 from struct import Struct
 from typing import NamedTuple
 
 CSV_HEADER = ("round,alive,dead_total,dead_normal,dead_advanced,"
               "head_count,residual_energy_j,p_used,kappa_used")
+CSV_ROW = "%d,%d,%d,%d,%d,%d,%.9g,%.9g,%.9g"   # a RoundRecord; each float as format(x, ".9g")
 
 
 class RoundRecord(NamedTuple):
@@ -28,38 +27,28 @@ class RoundRecord(NamedTuple):
     kappa_used: float
 
 
-_COUNTS, _FLOATS = Struct("6q"), Struct("3d")   # a RoundRecord's counts, then its floats
+_ROW = Struct("6q3d")   # a RoundRecord in field order, 72 bytes
 
 
 class RoundSeries(Sequence):
-    """An append-only run of RoundRecords held as two column arrays, 72 bytes
-    a round: round i's six counts at [6i, 6i + 6) of an array('q'), its three
-    floats at [3i, 3i + 3) of an array('d'). Both give back the Python ints
-    and the bit-identical doubles they were given."""
+    """An append-only run of RoundRecords packed into one byte array, 72
+    bytes a round: round i at [72i, 72i + 72). It gives back the Python ints
+    and the bit-identical doubles it was given."""
 
     def __init__(self) -> None:
-        self._counts = array("q")
-        self._floats = array("d")
+        self._rows = array("b")
 
     def append(self, record: RoundRecord) -> None:
-        # Packed and copied in C: array.extend would convert item by item.
-        self._counts.frombytes(_COUNTS.pack(*record[:6]))
-        self._floats.frombytes(_FLOATS.pack(*record[6:]))
+        self._rows.frombytes(_ROW.pack(*record))   # packed and copied in C
 
     def __len__(self) -> int:
-        return len(self._floats) // 3
+        return len(self._rows) // _ROW.size
 
     def __getitem__(self, i: int) -> RoundRecord:
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError("round series index out of range")
-        i %= n
-        return RoundRecord(*_COUNTS.unpack_from(self._counts, _COUNTS.size * i),
-                           *_FLOATS.unpack_from(self._floats, _FLOATS.size * i))
+        return RoundRecord._make(_ROW.unpack_from(self._rows, _ROW.size * range(len(self))[i]))
 
     def __iter__(self) -> Iterator[RoundRecord]:
-        rows = map(add, _COUNTS.iter_unpack(self._counts), _FLOATS.iter_unpack(self._floats))
-        return starmap(RoundRecord, rows)
+        return map(RoundRecord._make, _ROW.iter_unpack(self._rows))
 
     def __eq__(self, other) -> bool:
         return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
@@ -101,18 +90,8 @@ def stability_metrics(series: Sequence[RoundRecord],
     return first, half, last
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def round_csv_text(summary: SimulationSummary) -> str:
-    lines = [CSV_HEADER]
-    for r in summary.series:
-        lines.append(f"{r.round},{r.alive},{r.dead_total},{r.dead_normal},"
-                     f"{r.dead_advanced},{r.head_count},"
-                     f"{_fmt(r.residual_energy_total)},{_fmt(r.p_used)},"
-                     f"{_fmt(r.kappa_used)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER, *(CSV_ROW % r for r in summary.series)]) + "\n"
 
 
 def _write(text: str, sink: str | Path, what: str) -> None:

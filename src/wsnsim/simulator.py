@@ -102,6 +102,13 @@ def _geometry_caches(network: Network, bs: tuple[float, float],
     return np.sqrt(d2), tx_energies(radio, d2)
 
 
+def _checked_kappa(kappa: float) -> float:
+    """kappa, unless it is not finite and positive: a budget must cap a round."""
+    _require("kappa of side_m, node_count, fs_amp and mp_amp", kappa,
+             0 < kappa < np.inf, "finite and positive")
+    return kappa
+
+
 def learning_update(state: SimulationState, radio: RadioParams,
                     field: FieldConfig) -> float:
     """Re-derive the cluster budget from the surviving population.
@@ -119,7 +126,7 @@ def learning_update(state: SimulationState, radio: RadioParams,
         d_bs = representative_bs_distance(state.bs_dist, alive)
         kappa = (max_clusters(radio, field.side_m, count, d_bs) if d_bs > 0
                  else state.kappa_max_raw)
-        state.learned = (count, kappa)
+        state.learned = (count, _checked_kappa(kappa))
     return state.learned[1]
 
 
@@ -210,10 +217,8 @@ def run_simulation(field: FieldConfig, radio: RadioParams,
     rng = random.Random(seed)
     network = deploy_field(field, rng)
     bs_dist, uplink = _geometry_caches(network, field.bs_position, radio)
-    kappa = max_clusters(radio, field.side_m, field.node_count,
-                         representative_bs_distance(bs_dist, network.alive))
-    _require("kappa of side_m, node_count, fs_amp and mp_amp", kappa,
-             0 < kappa < np.inf, "finite and positive")
+    kappa = _checked_kappa(max_clusters(radio, field.side_m, field.node_count,
+                                        representative_bs_distance(bs_dist, network.alive)))
     state = SimulationState(network=network, round=0, kappa_max_raw=kappa,
                             p_effective=field.base_probability, bs_dist=bs_dist,
                             uplink=uplink)

@@ -316,6 +316,22 @@ class TestMain:
         main(["--config", str(cfg), "--output-dir", str(tmp_path / "out")])
         assert OUT_OF_RANGE[text][1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("nodes", 10 ** 400, "node_count must be not too large for a float"),
+        ("packet_bits", 10 ** 400, "packet_bits must be not too large for a float"),
+        # a packet's electronics cost, which no distance enters, overflows
+        ("elec_energy_per_bit", 1e308, "packet_bits * elec_energy_per_bit must be finite"),
+    ], ids=["nodes", "packet_bits", "elec_energy_per_bit"])
+    def test_value_beyond_float_range_names_its_line(self, capsys, tmp_path, key, value,
+                                                     message):
+        cfg = write_cfg(tmp_path, f"{key} = {value}\nalgorithms = leach\n")
+        rc = main(["--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"wsnsim: configuration error: line 1: key '{key}': {message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_output_is_runtime_error(self, capsys, tmp_path):
         blocker = tmp_path / "occupied"
         blocker.write_text("not a directory")

@@ -1,11 +1,14 @@
 import json
+import math
+import struct
+import sys
 
 import pytest
 
 from wsnsim import (FieldConfig, RadioParams, RoundRecord, SimulationSummary,
                     run_simulation, write_round_csv, write_summary_json)
-from wsnsim.reporting import (CSV_HEADER, RoundSeries, round_csv_text, stability_metrics,
-                              summary_json_text)
+from wsnsim.reporting import (CSV_HEADER, CSV_ROW, RoundSeries, round_csv_text,
+                              stability_metrics, summary_json_text)
 
 
 def rec(round_no, dead, alive=None, n=100):
@@ -32,6 +35,11 @@ def series_of(records):
     return series
 
 
+# Doubles at the edges of the format: signed zero, the least subnormal, the
+# largest finite, infinity and a NaN (equal to itself only by its bytes).
+EDGE_FLOATS = (-0.0, 5e-324, sys.float_info.max, math.inf, -math.inf, math.nan)
+
+
 class TestRoundSeries:
     RECORDS = [rec(0, 0), rec(1, 3), RoundRecord(2, 0, 100, 97, 3, 0, 0.0, 1.0, 2.5e-300)]
 
@@ -56,6 +64,14 @@ class TestRoundSeries:
         assert records == self.RECORDS
         assert all(type(r) is RoundRecord for r in records)
         assert [type(v) for v in records[2]] == [int] * 6 + [float] * 3
+
+    @pytest.mark.parametrize("x", EDGE_FLOATS)
+    def test_edge_doubles_round_trip_bit_for_bit(self, x):
+        record = RoundRecord(7, 1, 2, 3, 4, 5, x, x, x)
+        series = series_of([rec(0, 0), record])
+        for back in (series[1], series[-1], list(series)[1]):
+            assert back[:6] == record[:6]
+            assert [struct.pack("<d", v) for v in back[6:]] == [struct.pack("<d", x)] * 3
 
     def test_equality(self):
         series = series_of(self.RECORDS)
@@ -110,6 +126,15 @@ class TestRoundCsv:
     def test_row_format(self):
         text = round_csv_text(summary([rec(0, 0)]))
         assert text.splitlines()[1] == "0,100,0,0,0,5,55,0.1,14"
+
+    def test_row_format_header_and_record_have_nine_fields(self):
+        assert CSV_ROW.count("%") == len(RoundRecord._fields) == len(CSV_HEADER.split(",")) == 9
+
+    @pytest.mark.parametrize("x", EDGE_FLOATS)
+    def test_edge_doubles_print_as_nine_significant_digits(self, x):
+        r = RoundRecord(1, 2, 3, 4, 5, 6, x, -x, x)
+        row = round_csv_text(summary(series_of([r]))).splitlines()[1]
+        assert row == ",".join(["1,2,3,4,5,6", *(format(v, ".9g") for v in (x, -x, x))])
 
     def test_nine_significant_digits(self):
         r = RoundRecord(round=0, alive=100, dead_total=0, dead_normal=0,

@@ -347,6 +347,28 @@ class TestLearningUpdate:
                 kappas.add(state.kappa_max_raw)
         assert rec.dead_advanced == 12 and len(kappas) > 10
 
+    def _survivors_at(self, distance):
+        # Nodes 0 and 1 alive `distance` metres from a BS in the corner; 2 and 3 dead.
+        field = FieldConfig(node_count=4, bs_position=(0.0, 0.0))
+        nodes = [Node(id=i, x=distance if i < 2 else 50.0, y=0.0, tier="normal",
+                      initial_energy=0.5) for i in range(4)]
+        state = make_state(nodes, field.bs_position)
+        state.network.alive[2:] = False
+        state.network.e_res[2:] = 0.0
+        return field, state
+
+    def test_budget_beyond_float_range_names_the_settings(self):
+        # d_opt^2 of survivors 1e-161 m from the BS is subnormal, so the
+        # closed form overflows; the cap could not round it.
+        field, state = self._survivors_at(1e-161)
+        with pytest.raises(ValueError, match=r"^kappa of side_m, node_count, fs_amp and mp_amp "
+                                             r"must be finite and positive, got inf$"):
+            learning_update(state, RadioParams(), field)
+
+    def test_survivors_on_the_bs_keep_the_last_budget(self):
+        field, state = self._survivors_at(0.0)
+        assert learning_update(state, RadioParams(), field) == state.kappa_max_raw == 10.0
+
     def test_learning_run_shrinks_budget_as_nodes_die(self):
         field = FieldConfig(node_count=40, max_rounds=1500, initial_energy=0.05)
         s = run_simulation(field, RadioParams(), "leach-kef-1-1-p-learning", 6)
