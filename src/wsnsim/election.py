@@ -11,11 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat, starmap
 
 import numpy as np
 
-from .model import Network, ordered_sum, round_half_up
+from .model import Network, ordered_sum, round_half_up, uniforms
 
 
 @lru_cache(maxsize=1024)   # per p, not per round: a run's p moves only on a death
@@ -79,8 +78,10 @@ def elect_cluster_heads(network: Network, tier_probs: tuple[float, float], round
                         ) -> ElectionOutcome:
     """Run one round of self-election; returns the (possibly capped) head set.
 
-    Draws happen in node-id order for alive eligible nodes only, which keeps
-    the outcome a pure function of (network, arguments, rng state). A node's
+    Each alive eligible node draws one `rng.random()` value, in node-id
+    order, through `model.uniforms` (one `getrandbits` call from 256 draws
+    on, with the same bits), which keeps the outcome a pure function of
+    (network, arguments, rng state). A node's
     threshold is the rotating one of its tier's p in `tier_probs` (normal,
     advanced). When the candidate set exceeds `cap`, the cap-many
     highest-residual-energy candidates are kept, ties broken by lower id.
@@ -92,7 +93,7 @@ def elect_cluster_heads(network: Network, tier_probs: tuple[float, float], round
     nodes instead of shrinking it as the network drains.
     """
     ids = (network.alive & network.eligible).nonzero()[0]
-    draws = np.fromiter(starmap(rng.random, repeat((), ids.size)), float, ids.size)
+    draws = uniforms(rng, ids.size)
     # The rotating threshold depends only on the tier's p and the round: one
     # scalar when both tiers share p.
     p_nrm, p_adv = tier_probs

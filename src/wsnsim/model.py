@@ -51,8 +51,9 @@ class RadioParams:
             value = getattr(self, name)
             _require(name, value, 0 < value < math.inf, "finite and strictly positive")
         _require_int("packet_bits", self.packet_bits, 1)
-        _require("packet_bits * elec_energy_per_bit",   # a packet's electronics cost
-                 rx := self.packet_bits * self.elec_energy_per_bit, rx < math.inf, "finite")
+        for name in ("elec_energy_per_bit", "aggregation_energy_per_bit"):   # per packet
+            _require(f"packet_bits * {name}", cost := self.packet_bits * getattr(self, name),
+                     cost < math.inf, "finite")
         _require("fs_amp", self.fs_amp, self.fs_amp > self.mp_amp,   # crossover > 1 m
                  f"greater than mp_amp ({self.mp_amp!r})")
         _require("fs_amp / mp_amp", ratio := self.fs_amp / self.mp_amp,   # the crossover d^2
@@ -80,6 +81,8 @@ class FieldConfig:
         for axis, value in zip("xy", self.bs_position):
             _require(f"bs_position {axis}", value, math.isfinite(value), "finite")
         _require_int("node_count", self.node_count, 1)
+        _require("node_count", self.node_count, self.node_count <= sys.maxsize // 2,
+                 f"at most {sys.maxsize // 2}, so that its 2 * N draws can be indexed")
         _require_int("max_rounds", self.max_rounds, 0, as_float=False)   # only compared
         _require("side_m", self.side_m, self.side_m > 0, "positive")
         p, m, a, e0 = (self.base_probability, self.advanced_fraction,
@@ -155,21 +158,50 @@ def aggregation_energy(params: RadioParams) -> float:
     return params.packet_bits * params.aggregation_energy_per_bit
 
 
+_BULK_DRAWS = 256   # below it, one rng.random() call per draw is faster
+
+
+def uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """The next n `rng.random()` values, bit for bit, leaving `rng` where n
+    calls would. Each is ((a >> 5) * 2**26 + (b >> 6)) / 2**53 of the next two
+    32-bit words a, b, which `rng.getrandbits(64 * n)` returns in one call,
+    least significant word first."""
+    if n < _BULK_DRAWS:
+        return np.fromiter(starmap(rng.random, repeat((), n)), float, n)
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
+def shuffled_ids(n: int, rng: random.Random) -> list[int]:
+    """range(n) in the order `rng.shuffle(list(range(n)))` leaves it on
+    CPython >= 3.10, from the same words: Fisher-Yates from the top, j drawn
+    below i + 1 as `getrandbits(k)` for k the bit length of i + 1, redrawn
+    while j > i. Python promises only `random()` across versions, so the
+    package fixes its own shuffle."""
+    order = list(range(n))
+    getrandbits = rng.getrandbits
+    for k in range(n.bit_length(), 1, -1):   # the i whose i + 1 has k bits, from the top
+        for i in range(min(n - 1, (1 << k) - 2), (1 << (k - 1)) - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
+    return order
+
+
 def deploy_field(config: FieldConfig, rng: random.Random) -> Network:
     """Place nodes uniformly at random and assign tiers.
 
-    Positions are drawn first for all node ids in order, x then y; the
-    advanced tier is then assigned to the first round(m*N) indices of a
-    seeded shuffle, so the tier split is independent of position-generation
-    order.
+    Positions are drawn first for all node ids in order, x then y, as
+    `rng.uniform(0.0, side_m)` would (`0.0 + side_m * rng.random()`: the same
+    bits), through `uniforms`; the advanced tier is then assigned to the
+    first round(m*N) indices of `shuffled_ids`, so the tier split is
+    independent of position-generation order.
     """
     n = config.node_count
-    # rng.uniform(0.0, side) is 0.0 + side * rng.random(): the same bits.
-    draws = np.fromiter(starmap(rng.random, repeat((), 2 * n)), float, 2 * n) * config.side_m
-    order = list(range(n))
-    rng.shuffle(order)
+    draws = uniforms(rng, 2 * n) * config.side_m
     advanced = np.zeros(n, dtype=bool)
-    advanced[order[:round_half_up(config.advanced_fraction * n)]] = True
+    advanced[shuffled_ids(n, rng)[:round_half_up(config.advanced_fraction * n)]] = True
     e0 = config.initial_energy
     return Network(draws.reshape(n, 2).T.copy(), advanced,
                    np.where(advanced, e0 * (1.0 + config.advanced_energy_factor), e0))

@@ -321,7 +321,13 @@ class TestMain:
         ("packet_bits", 10 ** 400, "packet_bits must be not too large for a float"),
         # a packet's electronics cost, which no distance enters, overflows
         ("elec_energy_per_bit", 1e308, "packet_bits * elec_energy_per_bit must be finite"),
-    ], ids=["nodes", "packet_bits", "elec_energy_per_bit"])
+        # a float holds it, but 2 * N draws cannot be indexed
+        ("nodes", 10 ** 20, "node_count must be at most"),
+        # a packet's aggregation cost, which every head pays per member
+        ("aggregation_energy_per_bit", 1e308,
+         "packet_bits * aggregation_energy_per_bit must be finite"),
+    ], ids=["nodes", "packet_bits", "elec_energy_per_bit", "nodes-index",
+            "aggregation_energy_per_bit"])
     def test_value_beyond_float_range_names_its_line(self, capsys, tmp_path, key, value,
                                                      message):
         cfg = write_cfg(tmp_path, f"{key} = {value}\nalgorithms = leach\n")

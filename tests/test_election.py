@@ -3,7 +3,8 @@ import statistics
 
 import pytest
 
-from reference_engine import Node, network_of
+import reference_engine
+from reference_engine import ADVANCED, NORMAL, Node, network_of
 from wsnsim.election import (elect_cluster_heads, epoch_length, leach_threshold,
                              refresh_epoch, sep_probabilities, tier_probabilities)
 
@@ -196,6 +197,33 @@ class TestElectClusterHeads:
         mean = statistics.fmean(counts)
         se = statistics.stdev(counts) / trials ** 0.5
         assert abs(mean - p_adp * len(nodes)) <= 3 * se + 1e-9
+
+    @pytest.mark.parametrize("cap", [None, 40])
+    def test_bulk_draws_are_scalar_draws_in_id_order(self, cap):
+        # More than 1 000 alive eligible nodes, so the draws come from one
+        # getrandbits call: the heads and the generator state after must be
+        # the scalar engine's, one rng.random() per candidate in id order,
+        # on SEP tiers with adaptive energy weighting.
+        setup = random.Random(5)
+        nodes = [Node(id=i, x=0.0, y=0.0, tier=ADVANCED if setup.random() < 0.2 else NORMAL,
+                      initial_energy=0.5) for i in range(1500)]
+        for n in nodes:
+            n.drain(n.initial_energy * setup.uniform(0.0, 1.05))   # some die
+            n.eligible = n.alive and setup.random() < 0.9
+        net = network_of(nodes)
+        assert (net.alive & net.eligible).sum() >= 1000
+        probs = tier_probabilities(0.1, (1.0, 0.2), 0.15)
+        by_tier = dict(zip((NORMAL, ADVANCED), probs))
+        rng, scalar = random.Random(9), random.Random(9)
+        for r in range(5):
+            refresh_epoch(net, probs, r)
+            reference_engine.refresh_epoch(nodes, by_tier, r)
+            heads = elect_cluster_heads(net, probs, r, rng, energy_weighted=True,
+                                        by_alive_mean=True, cap=cap).heads
+            expected = reference_engine.elect_cluster_heads(
+                nodes, by_tier, r, scalar, energy_weighted=True, adaptive=True, cap=cap)
+            assert heads.tolist() == expected
+            assert rng.getstate() == scalar.getstate()
 
     def test_sep_adaptive_preserves_tier_ratio(self):
         p_nrm, p_adv = tier_probabilities(0.1, (1.0, 0.1), 0.2)

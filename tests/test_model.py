@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import reference_engine
 from reference_engine import Node
 from wsnsim import FieldConfig, RadioParams
 from wsnsim.model import (aggregation_energy, deploy_field, ordered_sum, rx_energy,
-                          tx_energies)
+                          shuffled_ids, tx_energies, uniforms)
 
 NETWORK_ARRAYS = ("xy", "advanced", "e0", "e_res", "alive", "eligible")
 
@@ -177,6 +178,12 @@ class TestFieldConfigValidation:
     def test_accepts_boundary_values(self, kw):
         assert FieldConfig(**kw).advanced_fraction == kw["advanced_fraction"]
 
+    def test_node_count_is_bounded_by_what_an_index_holds(self):
+        # Deployment draws 2 * N positions into one array.
+        assert FieldConfig(node_count=sys.maxsize // 2).node_count == sys.maxsize // 2
+        with pytest.raises(ValueError, match="^node_count must be at most"):
+            FieldConfig(node_count=sys.maxsize // 2 + 1)
+
 
 class TestDeployField:
     def test_tier_split(self, field):
@@ -209,13 +216,15 @@ class TestDeployField:
         assert not same_network(a, b)
 
     def test_draw_order_matches_the_scalar_reference(self):
-        field = FieldConfig(node_count=57, advanced_fraction=0.3,
-                            advanced_energy_factor=2.0)
-        rng_a, rng_b = random.Random(8), random.Random(8)
-        net = deploy_field(field, rng_a)
-        nodes = reference_engine.deploy_field(field, rng_b)
-        assert same_network(net, reference_engine.network_of(nodes))
-        assert rng_a.random() == rng_b.random()
+        # 57 nodes draw their positions one rng.random() at a time, 5 000 in bulk.
+        for n in (57, 5000):
+            field = FieldConfig(node_count=n, advanced_fraction=0.3,
+                                advanced_energy_factor=2.0)
+            rng_a, rng_b = random.Random(8), random.Random(8)
+            net = deploy_field(field, rng_a)
+            nodes = reference_engine.deploy_field(field, rng_b)
+            assert same_network(net, reference_engine.network_of(nodes))
+            assert rng_a.random() == rng_b.random()
 
     @pytest.mark.parametrize("side", [0.1, 100.0, 1e-155])
     @pytest.mark.parametrize("seed", [0, 8, 2024])
@@ -227,6 +236,46 @@ class TestDeployField:
         net = deploy_field(field, rng_a)
         draws = np.array([rng_b.uniform(0.0, side) for _ in range(2 * 64)])
         assert np.array_equal(net.xy.T.ravel().view(np.uint64), draws.view(np.uint64))
+
+
+def off_word_boundary(seed):
+    """A generator that a shuffle has moved along by some words: 9 for seed
+    2024, so its next draw starts off a word-pair boundary; 10 and 8 for
+    seeds 0 and 8."""
+    rng = random.Random(seed)
+    rng.shuffle(list(range(7)))
+    return rng
+
+
+def twin(rng):
+    other = random.Random()
+    other.setstate(rng.getstate())
+    return other
+
+
+class TestStreamHelpers:
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 5000])
+    @pytest.mark.parametrize("seed", [0, 8, 2024])
+    def test_uniforms_are_the_bits_of_rng_random(self, n, seed):
+        # Both sides of the bulk threshold: starmap below 256 draws, one
+        # getrandbits(64 * n) call from 256 on.
+        rng = off_word_boundary(seed)
+        scalar = twin(rng)
+        expected = np.array([scalar.random() for _ in range(n)], dtype=float)
+        draws = uniforms(rng, n)
+        assert draws.dtype == np.float64 and draws.shape == (n,)
+        assert np.array_equal(draws.view(np.uint64), expected.view(np.uint64))
+        assert rng.getstate() == scalar.getstate()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 5000])
+    def test_shuffled_ids_are_random_shuffle(self, n):
+        for seed in range(50):
+            rng = off_word_boundary(seed)
+            scalar = twin(rng)
+            order = list(range(n))
+            scalar.shuffle(order)
+            assert shuffled_ids(n, rng) == order
+            assert rng.getstate() == scalar.getstate()
 
 
 class TestTxEnergies:
