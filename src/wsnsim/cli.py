@@ -131,7 +131,7 @@ def _build(settings) -> RunConfig:
     try:
         cfg.field = FieldConfig(**owners["field"])
         cfg.radio = RadioParams(**owners["radio"])
-        _check_range(cfg.field.side_m, cfg.radio)   # the diagonal's d^2 and uplink
+        _check_range(cfg.field.side_m, cfg.field.node_count, cfg.radio)   # every charge
     except (ValueError, ArithmeticError) as exc:   # e.g. nodes beyond the float range
         # Where the first field the message names was set: a cross-field check
         # leads with the field it bounds, which may have kept its default.

@@ -46,13 +46,11 @@ class RadioParams:
     packet_bits: int = 4000
 
     def __post_init__(self) -> None:
-        for name in ("elec_energy_per_bit", "fs_amp", "mp_amp",
-                     "aggregation_energy_per_bit"):
+        _require_int("packet_bits", self.packet_bits, 1)
+        for name in ("elec_energy_per_bit", "fs_amp", "mp_amp", "aggregation_energy_per_bit"):
             value = getattr(self, name)
             _require(name, value, 0 < value < math.inf, "finite and strictly positive")
-        _require_int("packet_bits", self.packet_bits, 1)
-        for name in ("elec_energy_per_bit", "aggregation_energy_per_bit"):   # per packet
-            _require(f"packet_bits * {name}", cost := self.packet_bits * getattr(self, name),
+            _require(f"packet_bits * {name}", cost := self.packet_bits * value,
                      cost < math.inf, "finite")
         _require("fs_amp", self.fs_amp, self.fs_amp > self.mp_amp,   # crossover > 1 m
                  f"greater than mp_amp ({self.mp_amp!r})")

@@ -4,8 +4,10 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from struct import Struct
 from typing import NamedTuple
@@ -72,22 +74,11 @@ class SimulationSummary:
 
 def stability_metrics(series: Sequence[RoundRecord],
                       n: int) -> tuple[int | None, int | None, int | None]:
-    """(first, half, last) death rounds; None where the event never happens.
-
-    first: earliest round with any death; half: earliest with at least
-    ceil(n/2) dead; last: earliest with the whole population dead.
-    """
-    first = half = last = None
-    half_count = math.ceil(n / 2)
-    for rec in series:
-        if first is None and rec.dead_total >= 1:
-            first = rec.round
-        if half is None and rec.dead_total >= half_count:
-            half = rec.round
-        if last is None and rec.dead_total >= n:
-            last = rec.round
-            break
-    return first, half, last
+    """(first, half, last) death rounds: the earliest round with at least 1,
+    ceil(n/2) and n dead, or None where the event never happens. `dead_total`
+    never falls along `series`, as in every run, so each is one binary search."""
+    at = [bisect_left(series, k, key=attrgetter("dead_total")) for k in (1, math.ceil(n / 2), n)]
+    return tuple(series[i].round if i < len(series) else None for i in at)
 
 
 def round_csv_text(summary: SimulationSummary) -> str:

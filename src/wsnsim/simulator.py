@@ -102,8 +102,12 @@ def _geometry_caches(network: Network, bs: tuple[float, float],
     return np.sqrt(d2), tx_energies(radio, d2)
 
 
-def _checked_kappa(kappa: float) -> float:
-    """kappa, unless it is not finite and positive: a budget must cap a round."""
+def _checked_kappa(radio: RadioParams, side_m: float, bs_dist: np.ndarray, alive: np.ndarray,
+                   count: int, fallback: float = np.inf) -> float:
+    """The budget of the `count` nodes in `alive`: `max_clusters` at their mean
+    BS distance, or `fallback` where it is 0; finite and positive, as it caps a round."""
+    d_bs = representative_bs_distance(bs_dist, alive)
+    kappa = max_clusters(radio, side_m, count, d_bs) if d_bs > 0 else fallback
     _require("kappa of side_m, node_count, fs_amp and mp_amp", kappa,
              0 < kappa < np.inf, "finite and positive")
     return kappa
@@ -123,10 +127,8 @@ def learning_update(state: SimulationState, radio: RadioParams,
     alive = state.network.alive
     count = int(np.count_nonzero(alive))
     if count != state.learned[0]:
-        d_bs = representative_bs_distance(state.bs_dist, alive)
-        kappa = (max_clusters(radio, field.side_m, count, d_bs) if d_bs > 0
-                 else state.kappa_max_raw)
-        state.learned = (count, _checked_kappa(kappa))
+        state.learned = (count, _checked_kappa(radio, field.side_m, state.bs_dist, alive,
+                                               count, state.kappa_max_raw))
     return state.learned[1]
 
 
@@ -197,15 +199,19 @@ def _config_hash(field: FieldConfig, radio: RadioParams) -> str:
 
 
 @lru_cache(maxsize=64)
-def _check_range(side_m: float, radio: RadioParams) -> None:
-    """Raise unless the field diagonal's d^2 = 2 * side_m^2, which no d^2 of a
-    run exceeds, is positive with a finite uplink. Once per (side, radio): a
-    passing pair is cached, and a failing one raises on every call."""
+def _check_range(side_m: float, node_count: int, radio: RadioParams) -> None:
+    """Raise unless every charge of a run is finite: the uplink over the field
+    diagonal's d^2 = 2 * side_m^2, which no d^2 of a run exceeds, and the last
+    head-cost entry plus that uplink, which no head's charge exceeds. Once per
+    (side, node count, radio): a pass is cached, and a failure raises on every call."""
     diag = 2.0 * side_m * side_m
     with np.errstate(over="ignore"):
-        worst = tx_energies(radio, np.array(diag))
+        worst = float(tx_energies(radio, np.array(diag)))   # sums with it must not warn
     _require("side_m", side_m, diag > 0 and worst < np.inf,
              "such that the diagonal's d^2 = 2 * side_m^2 is positive and its uplink finite")
+    head = node_count * rx_energy(radio) + aggregation_energy(radio) * (node_count + 1) + worst
+    _require("node_count * packet_bits * elec_energy_per_bit + (node_count + 1) * packet_bits"
+             " * aggregation_energy_per_bit + the diagonal's uplink", head, head < np.inf, "finite")
 
 
 def run_simulation(field: FieldConfig, radio: RadioParams,
@@ -213,12 +219,11 @@ def run_simulation(field: FieldConfig, radio: RadioParams,
     """Deploy a field and run rounds until max_rounds or total extinction."""
     if isinstance(algo, str):
         algo = algorithm(algo)
-    _check_range(field.side_m, radio)
+    _check_range(field.side_m, field.node_count, radio)
     rng = random.Random(seed)
     network = deploy_field(field, rng)
     bs_dist, uplink = _geometry_caches(network, field.bs_position, radio)
-    kappa = _checked_kappa(max_clusters(radio, field.side_m, field.node_count,
-                                        representative_bs_distance(bs_dist, network.alive)))
+    kappa = _checked_kappa(radio, field.side_m, bs_dist, network.alive, field.node_count)
     state = SimulationState(network=network, round=0, kappa_max_raw=kappa,
                             p_effective=field.base_probability, bs_dist=bs_dist,
                             uplink=uplink)

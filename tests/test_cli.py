@@ -28,6 +28,12 @@ OUT_OF_RANGE = {
     "side = 1e80": (EXIT_CONFIG, "line 1: key 'side': side_m"),
     # d_opt^2 underflows
     "side = 1e-155": (EXIT_RUNTIME, "kappa of side_m, node_count, fs_amp and mp_amp"),
+    # every node's d^2 to a corner BS underflows to 0, so their mean distance is 0
+    "side = 1.2e-162\nnodes = 2\nbs_x = 0\nbs_y = 0":
+        (EXIT_RUNTIME, "kappa of side_m, node_count, fs_amp and mp_amp"),
+    # a packet's aggregation is finite, a head's table for all 100 nodes is not
+    "packet_bits = 10\naggregation_energy_per_bit = 1e306":
+        (EXIT_CONFIG, "line 1: key 'packet_bits': node_count * packet_bits"),
 }
 ERROR_PREFIX = {EXIT_RUNTIME: "wsnsim: error: ", EXIT_CONFIG: "wsnsim: configuration error: "}
 
@@ -326,8 +332,10 @@ class TestMain:
         # a packet's aggregation cost, which every head pays per member
         ("aggregation_energy_per_bit", 1e308,
          "packet_bits * aggregation_energy_per_bit must be finite"),
+        # a packet's free-space cost, which the crossover check would blame on side
+        ("fs_amp", 1.7e308, "packet_bits * fs_amp must be finite"),
     ], ids=["nodes", "packet_bits", "elec_energy_per_bit", "nodes-index",
-            "aggregation_energy_per_bit"])
+            "aggregation_energy_per_bit", "fs_amp"])
     def test_value_beyond_float_range_names_its_line(self, capsys, tmp_path, key, value,
                                                      message):
         cfg = write_cfg(tmp_path, f"{key} = {value}\nalgorithms = leach\n")

@@ -4,6 +4,8 @@ import struct
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsnsim import (FieldConfig, RadioParams, RoundRecord, SimulationSummary,
                     run_simulation, write_round_csv, write_summary_json)
@@ -88,6 +90,20 @@ class TestRoundSeries:
             == (1, 2, 2)
 
 
+@st.composite
+def monotone_runs(draw):
+    """(records, n): dead_total never falls, stays at n once reached, and
+    may plateau or jump past ceil(n/2) and n in one round."""
+    n = draw(st.integers(1, 25))
+    steps = draw(st.lists(st.one_of(st.just(0), st.integers(0, 3), st.integers(0, n)),
+                          max_size=40))
+    dead, records = 0, []
+    for r, step in enumerate(steps):
+        dead = min(n, dead + step)
+        records.append(rec(r, dead, n=n))
+    return records, n
+
+
 class TestStabilityMetrics:
     def test_no_deaths(self):
         series = [rec(r, 0) for r in range(10)]
@@ -114,6 +130,19 @@ class TestStabilityMetrics:
         series = [rec(0, 0), rec(1, 100, alive=0)]
         extended = series + [rec(2, 100, alive=0), rec(3, 100, alive=0)]
         assert stability_metrics(series, 100) == stability_metrics(extended, 100)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(monotone_runs())
+    def test_equals_the_linear_rule(self, run):
+        # The earliest round with at least k dead, found by a scan of every row.
+        records, n = run
+
+        def earliest(k):
+            return next((r.round for r in records if r.dead_total >= k), None)
+
+        expected = (earliest(1), earliest(math.ceil(n / 2)), earliest(n))
+        assert stability_metrics(records, n) == stability_metrics(series_of(records), n) \
+            == expected
 
 
 class TestRoundCsv:
