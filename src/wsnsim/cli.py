@@ -6,9 +6,9 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from .model import FieldConfig, RadioParams
+from .model import FieldConfig, RadioParams, check_range
 from .reporting import write_round_csv, write_summary_json
-from .simulator import _check_range, algorithm, algorithm_names, run_simulation
+from .simulator import algorithm, algorithm_names, run_simulation
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -30,6 +30,14 @@ class RunConfig:
     seeds: list[int] = dc_field(default_factory=lambda: [0])
     output_dir: Path = Path("out")
     formats: set[str] = dc_field(default_factory=lambda: set(FORMATS))
+    origins: dict[str, str] = dc_field(default_factory=dict)   # a field's name -> where set
+
+    def locate(self, message: str) -> str:
+        """message, led by where the first field it names was set: a cross-field
+        check leads with the field it bounds, which may have kept its default."""
+        named = [(message.find(name), where) for name, where in self.origins.items()
+                 if name in message]
+        return f"{min(named)[1]}: {message}" if named else message
 
 
 def _parse(kind: type, raw: str):
@@ -42,8 +50,9 @@ def _parse(kind: type, raw: str):
 
 def _unique(values: list) -> list:
     """values, unless one is repeated: a batch runs each (algorithm, seed) once."""
+    first = {}
     for i, v in enumerate(values):
-        if v in values[:i]:
+        if first.setdefault(v, i) != i:
             raise ValueError(f"{v!r} given more than once")
     return values
 
@@ -80,7 +89,7 @@ def _config_lines(path: str | Path):
     """Yield (key, raw value, where) for each `key = value` line of a config file."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")   # a leading BOM is not part of a key
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -97,7 +106,6 @@ def _config_lines(path: str | Path):
 def _build(settings) -> RunConfig:
     """Check (key, raw value, where) settings in order, later overriding; errors name where."""
     owners: dict[str, dict] = {"field": {}, "radio": {}, "bs": {}}
-    origins: dict[str, str] = {}   # the name a field's messages start with -> where set
     cfg = RunConfig()
     for key, raw, where in settings:
         values = [v.strip() for v in raw.split(",") if v.strip()]   # a list key's items
@@ -105,7 +113,7 @@ def _build(settings) -> RunConfig:
             if key in _SCALAR_KEYS:
                 owner, name, kind = _SCALAR_KEYS[key]
                 owners[owner][name] = _parse(kind, raw)
-                origins[name] = where
+                cfg.origins[name] = where
             elif key == "output_dir":
                 cfg.output_dir = Path(raw)
             elif key == "algorithms":
@@ -131,14 +139,9 @@ def _build(settings) -> RunConfig:
     try:
         cfg.field = FieldConfig(**owners["field"])
         cfg.radio = RadioParams(**owners["radio"])
-        _check_range(cfg.field.side_m, cfg.field.node_count, cfg.radio)   # every charge
+        check_range(cfg.field.side_m, cfg.field.node_count, cfg.radio)   # every charge
     except (ValueError, ArithmeticError) as exc:   # e.g. nodes beyond the float range
-        # Where the first field the message names was set: a cross-field check
-        # leads with the field it bounds, which may have kept its default.
-        message = str(exc)
-        named = [(message.find(name), origin) for name, origin in origins.items()
-                 if name in message]
-        raise ConfigError(f"{min(named)[1]}: {message}" if named else message) from exc
+        raise ConfigError(cfg.locate(str(exc))) from exc
     return cfg
 
 
@@ -201,8 +204,11 @@ def main(argv: list[str] | None = None) -> int:
         if "json" in cfg.formats:
             cfg.output_dir.mkdir(parents=True, exist_ok=True)
             write_summary_json(summaries, cfg.output_dir / "summary.json")
-    except (OSError, ValueError, ArithmeticError) as exc:   # e.g. a float overflow
+    except OSError as exc:   # not located: its path may contain a field's name
         print(f"wsnsim: error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except (ValueError, ArithmeticError) as exc:   # e.g. a float overflow, or a run's kappa
+        print(f"wsnsim: error: {cfg.locate(str(exc))}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 

@@ -7,6 +7,7 @@ import random
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat, starmap
 
 import numpy as np
@@ -146,14 +147,27 @@ def tx_energies(params: RadioParams, d2: np.ndarray) -> np.ndarray:
     return bits * params.elec_energy_per_bit + amp * (d2 * np.where(far, d2, 1.0))
 
 
-def rx_energy(params: RadioParams) -> float:
-    """Energy to receive one packet (electronics only)."""
-    return params.packet_bits * params.elec_energy_per_bit
+def head_costs(params: RadioParams, members: int | np.ndarray) -> float | np.ndarray:
+    """A head's charge to receive `members` packets (electronics only) and
+    aggregate them with its own: members * l*E_elec + (members + 1) * l*E_DA."""
+    return (members * (params.packet_bits * params.elec_energy_per_bit)
+            + (params.packet_bits * params.aggregation_energy_per_bit) * (members + 1))
 
 
-def aggregation_energy(params: RadioParams) -> float:
-    """Energy for a head to aggregate one packet."""
-    return params.packet_bits * params.aggregation_energy_per_bit
+@lru_cache(maxsize=64)
+def check_range(side_m: float, node_count: int, radio: RadioParams) -> None:
+    """Raise unless every charge of a run is finite: the uplink over the field
+    diagonal's d^2 = 2 * side_m^2, which no d^2 of a run exceeds, and the last
+    head-cost entry plus that uplink, which no head's charge exceeds. Once per
+    (side, node count, radio): a pass is cached, and a failure raises on every call."""
+    diag = 2.0 * side_m * side_m
+    with np.errstate(over="ignore"):
+        worst = float(tx_energies(radio, np.array(diag)))   # sums with it must not warn
+    _require("side_m", side_m, diag > 0 and worst < np.inf,
+             "such that the diagonal's d^2 = 2 * side_m^2 is positive and its uplink finite")
+    head = head_costs(radio, node_count) + worst
+    _require("node_count * packet_bits * elec_energy_per_bit + (node_count + 1) * packet_bits"
+             " * aggregation_energy_per_bit + the diagonal's uplink", head, head < np.inf, "finite")
 
 
 _BULK_DRAWS = 256   # below it, one rng.random() call per draw is faster

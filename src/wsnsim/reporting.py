@@ -46,7 +46,9 @@ class RoundSeries(Sequence):
     def __len__(self) -> int:
         return len(self._rows) // _ROW.size
 
-    def __getitem__(self, i: int) -> RoundRecord:
+    def __getitem__(self, i: int | slice) -> RoundRecord | list[RoundRecord]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         return RoundRecord._make(_ROW.unpack_from(self._rows, _ROW.size * range(len(self))[i]))
 
     def __iter__(self) -> Iterator[RoundRecord]:

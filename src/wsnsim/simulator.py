@@ -6,7 +6,6 @@ import hashlib
 import random
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -14,9 +13,8 @@ from . import reporting
 from .analysis import adaptive_probability, max_clusters, representative_bs_distance
 from .election import elect_cluster_heads, refresh_epoch, tier_probabilities
 from .membership import assign_members
-from .model import (FieldConfig, Network, RadioParams, _require, aggregation_energy,
-                    deploy_field, ordered_sum, round_half_up, rx_energy,
-                    tx_energies)
+from .model import (FieldConfig, Network, RadioParams, _require, check_range, deploy_field,
+                    head_costs, ordered_sum, round_half_up, tx_energies)
 from .reporting import RoundRecord
 
 RNG_ALGORITHM = "python-random-mt19937"
@@ -38,27 +36,21 @@ class AlgorithmSpec:
     learning_kappa: bool          # re-derive the cluster budget each round
 
 
-def _build_registry() -> dict[str, AlgorithmSpec]:
-    reg = {}
-
-    def add(name, base, weighted, beta, capped, adaptive, learning=False):
-        reg[name] = AlgorithmSpec(name=name, base=base, energy_weighted=weighted,
-                                  join_beta=beta, capped=capped, adaptive_p=adaptive,
-                                  learning_kappa=learning)
-
-    for base in (LEACH, SEP):
-        add(base, base, False, None, capped=False, adaptive=False)
-        add(f"{base}-kp", base, False, None, capped=True, adaptive=True)
-        add(f"{base}-kep", base, True, None, capped=True, adaptive=True)
-        for beta in (1, 2):   # -kef-a-b: E_res^a / d^b, with a = 1
-            stem = f"{base}-kef-1-{beta}"
-            add(stem, base, True, beta, capped=True, adaptive=False)
-            add(f"{stem}-p", base, True, beta, capped=True, adaptive=True)
-            add(f"{stem}-p-learning", base, True, beta, capped=True, adaptive=True, learning=True)
-    return reg
-
-
-REGISTRY: dict[str, AlgorithmSpec] = _build_registry()
+# Variant suffix -> (energy_weighted, join_beta, capped, adaptive_p, learning_kappa);
+# -kef-a-b joins on E_res^a / d^b, with a = 1.
+_VARIANTS = {
+    "": (False, None, False, False, False),
+    "-kp": (False, None, True, True, False),
+    "-kep": (True, None, True, True, False),
+    "-kef-1-1": (True, 1, True, False, False),
+    "-kef-1-1-p": (True, 1, True, True, False),
+    "-kef-1-1-p-learning": (True, 1, True, True, True),
+    "-kef-1-2": (True, 2, True, False, False),
+    "-kef-1-2-p": (True, 2, True, True, False),
+    "-kef-1-2-p-learning": (True, 2, True, True, True),
+}
+REGISTRY = {base + suffix: AlgorithmSpec(base + suffix, base, *knobs)
+            for base in (LEACH, SEP) for suffix, knobs in _VARIANTS.items()}
 
 
 def algorithm_names() -> list[str]:
@@ -158,8 +150,7 @@ def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
 
     if heads.size:   # with heads, every alive non-head is a member
         if state.head_costs is None:
-            c = np.arange(len(net) + 1)
-            state.head_costs = c * rx_energy(radio) + aggregation_energy(radio) * (c + 1)
+            state.head_costs = head_costs(radio, np.arange(len(net) + 1))
         counts = np.bincount(assignment.head_ids, minlength=len(net))[heads]
         charged = np.concatenate((assignment.member_ids, heads))
         cost = np.concatenate((tx_energies(radio, assignment.d2),
@@ -198,28 +189,12 @@ def _config_hash(field: FieldConfig, radio: RadioParams) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@lru_cache(maxsize=64)
-def _check_range(side_m: float, node_count: int, radio: RadioParams) -> None:
-    """Raise unless every charge of a run is finite: the uplink over the field
-    diagonal's d^2 = 2 * side_m^2, which no d^2 of a run exceeds, and the last
-    head-cost entry plus that uplink, which no head's charge exceeds. Once per
-    (side, node count, radio): a pass is cached, and a failure raises on every call."""
-    diag = 2.0 * side_m * side_m
-    with np.errstate(over="ignore"):
-        worst = float(tx_energies(radio, np.array(diag)))   # sums with it must not warn
-    _require("side_m", side_m, diag > 0 and worst < np.inf,
-             "such that the diagonal's d^2 = 2 * side_m^2 is positive and its uplink finite")
-    head = node_count * rx_energy(radio) + aggregation_energy(radio) * (node_count + 1) + worst
-    _require("node_count * packet_bits * elec_energy_per_bit + (node_count + 1) * packet_bits"
-             " * aggregation_energy_per_bit + the diagonal's uplink", head, head < np.inf, "finite")
-
-
 def run_simulation(field: FieldConfig, radio: RadioParams,
                    algo: AlgorithmSpec | str, seed: int) -> "reporting.SimulationSummary":
     """Deploy a field and run rounds until max_rounds or total extinction."""
     if isinstance(algo, str):
         algo = algorithm(algo)
-    _check_range(field.side_m, field.node_count, radio)
+    check_range(field.side_m, field.node_count, radio)
     rng = random.Random(seed)
     network = deploy_field(field, rng)
     bs_dist, uplink = _geometry_caches(network, field.bs_position, radio)

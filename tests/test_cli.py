@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from wsnsim import algorithm_names
-from wsnsim.cli import (_SCALAR_KEYS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, ConfigError, main,
-                        parse_config)
+from wsnsim.cli import (_SCALAR_KEYS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, ConfigError, _unique,
+                        main, parse_config)
 
 # Settings that pass the per-field checks but whose arithmetic leaves the float
 # range, each with its exit code and the part of its one-line error that names
@@ -129,6 +129,40 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no-such"):
             parse_config(tmp_path / "no-such.cfg")
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_text("nodes = 10\nseeds = 4\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfnodes")
+        cfg = parse_config(path)
+        assert cfg.field.node_count == 10 and cfg.seeds == [4]
+
+    def test_first_repeat_is_named(self):
+        assert _unique([3, 1, 2]) == [3, 1, 2]
+        with pytest.raises(ValueError, match="^1 given more than once$"):
+            _unique([3, 1, 2, 1, 3])
+
+    def test_repeat_check_is_linear(self):
+        calls = []
+
+        class Probe:
+            def __init__(self, key):
+                self.key = key
+
+            def __hash__(self):
+                return hash(self.key)
+
+            def __eq__(self, other):
+                calls.append(1)
+                return self.key == other.key
+
+            def __repr__(self):
+                return f"Probe({self.key})"
+
+        probes = [Probe(k) for k in range(2000)] + [Probe(7)]
+        with pytest.raises(ValueError, match=r"^Probe\(7\) given more than once$"):
+            _unique(probes)
+        assert len(calls) < 10 * len(probes)
 
     def test_line_without_equals(self, tmp_path):
         path = write_cfg(tmp_path, "just words\n")
@@ -345,6 +379,27 @@ class TestMain:
         assert err.startswith(f"wsnsim: configuration error: line 1: key '{key}': {message}")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, where", [
+        ("side = 1e-155\n", "line 1: key 'side'"),
+        ("nodes = 100\nside = 1e-155\n", "line 2: key 'side'")])   # side_m is named first
+    def test_run_time_kappa_error_names_its_line(self, capsys, tmp_path, text, where):
+        cfg = write_cfg(tmp_path, f"{text}algorithms = leach\n")
+        rc = main(["--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+        assert rc == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(
+            f"wsnsim: error: {where}: kappa of side_m, node_count, fs_amp and mp_amp must be"
+            " finite and positive, got inf\n")
+
+    def test_io_error_is_not_located(self, capsys, tmp_path):
+        # The path names side_m, which the config sets; an I/O error names no setting.
+        blocker = tmp_path / "side_m"
+        blocker.write_text("not a directory")
+        cfg = write_cfg(tmp_path, "side = 90\nalgorithms = leach\nmax_rounds = 2\n")
+        rc = main(["--config", str(cfg), "--output-dir", str(blocker)])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("wsnsim: error: ") and "line 1" not in err
 
     def test_unwritable_output_is_runtime_error(self, capsys, tmp_path):
         blocker = tmp_path / "occupied"

@@ -9,8 +9,8 @@ import pytest
 import reference_engine
 from reference_engine import Node
 from wsnsim import FieldConfig, RadioParams
-from wsnsim.model import (aggregation_energy, deploy_field, ordered_sum, rx_energy,
-                          shuffled_ids, tx_energies, uniforms)
+from wsnsim.model import (deploy_field, head_costs, ordered_sum, shuffled_ids, tx_energies,
+                          uniforms)
 
 NETWORK_ARRAYS = ("xy", "advanced", "e0", "e_res", "alive", "eligible")
 
@@ -80,22 +80,31 @@ class TestTxEnergy:
             assert tx_energy(radio, 4000, d2 * d2) >= tx_energy(radio, 4000, d1 * d1)
 
 
-class TestRxEnergy:
-    def test_value(self, radio):
-        assert rx_energy(radio) == pytest.approx(2.0e-6)
+class TestHeadCosts:
+    def test_no_members_is_one_aggregation(self, radio):
+        assert head_costs(radio, 0) == pytest.approx(2.0e-5)
 
-    def test_equals_zero_distance_tx(self, radio):
+    def test_each_received_packet_costs_the_rx_energy(self, radio):
+        # Past the 10 aggregations, a head with 9 members pays 9 receptions.
+        receptions = head_costs(radio, 9) - 10 * head_costs(radio, 0)
+        assert receptions == pytest.approx(9 * 2.0e-6)
+
+    def test_nine_members_aggregate_ten_signals(self, radio):
+        # A head with 9 members receives 9 packets and aggregates 10 signals.
+        assert head_costs(radio, 9) == pytest.approx(9 * 2.0e-6 + 10 * 2.0e-5)
+
+    def test_each_member_adds_a_zero_distance_tx_and_an_aggregation(self, radio):
         for bits in (1, 100, 4000):
-            assert rx_energy(with_bits(radio, bits)) == tx_energy(radio, bits, 0.0)
+            aggregation = head_costs(with_bits(radio, bits), 0)
+            for members in (0, 1, 9, 99, 1000):
+                assert head_costs(with_bits(radio, bits), members) == \
+                    members * tx_energy(radio, bits, 0.0) + aggregation * (members + 1)
 
-
-class TestAggregationEnergy:
-    def test_single_signal(self, radio):
-        assert aggregation_energy(radio) == pytest.approx(2.0e-5)
-
-    def test_ten_signals(self, radio):
-        # A head with 9 members aggregates 10 signals, as the engine charges it.
-        assert aggregation_energy(radio) * 10 == pytest.approx(2.0e-4)
+    def test_array_equals_scalar_calls_bit_for_bit(self, radio):
+        for params in (radio, RadioParams(), with_bits(radio, 1)):
+            table = head_costs(params, np.arange(1001))
+            assert table.tobytes() == \
+                np.array([head_costs(params, c) for c in range(1001)]).tobytes()
 
 
 class TestDistanceThreshold:

@@ -61,6 +61,16 @@ class TestRoundSeries:
         with pytest.raises(IndexError):
             series_of(self.RECORDS)[index]
 
+    @pytest.mark.parametrize("s", [slice(1, 3), slice(None), slice(None, None, -1),
+                                   slice(-2, None), slice(None, None, -2), slice(5, 1, -1),
+                                   slice(-1, -6, -3), slice(3, 3), slice(-100, 100, 2)],
+                             ids=repr)
+    def test_slice_is_a_list_of_records(self, s):
+        records = [rec(r, r) for r in range(7)]
+        series = series_of(records)
+        assert series[s] == list(series)[s] == records[s]
+        assert type(series[s]) is list
+
     def test_iterates_records_in_order(self):
         records = list(series_of(self.RECORDS))
         assert records == self.RECORDS

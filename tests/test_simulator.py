@@ -2,6 +2,7 @@ import gc
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -26,6 +27,13 @@ EXPECTED_NAMES = [
     "leach-kef-1-1-p-learning", "leach-kef-1-2-p-learning",
     "sep-kef-1-1-p-learning", "sep-kef-1-2-p-learning",
 ]
+
+# The README's name grammar: a base, then -kp (cap, adaptive p), -kep (cap,
+# adaptive p, energy-weighted threshold) or -kef-1-b (cap, energy-weighted
+# threshold, E_res / d^b join), then -p (adaptive p), then -learning (learned kappa).
+NAME_GRAMMAR = re.compile(r"(?P<base>leach|sep)"
+                          r"(?:(?P<kp>-kp)|(?P<kep>-kep)|-kef-1-(?P<beta>[12]))?"
+                          r"(?P<p>-p)?(?P<learning>-learning)?")
 
 
 def small_field(**kw):
@@ -52,6 +60,20 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             algorithm("foo")
+
+    @pytest.mark.parametrize("name", EXPECTED_NAMES)
+    def test_mechanisms_follow_the_name_grammar(self, name):
+        match = NAME_GRAMMAR.fullmatch(name)
+        assert match, name
+        base, kp, kep, beta, p, learning = match.group("base", "kp", "kep", "beta", "p",
+                                                       "learning")
+        spec = algorithm(name)
+        assert spec.name == name and spec.base == base
+        assert spec.energy_weighted == bool(kep or beta)
+        assert spec.join_beta == (int(beta) if beta else None)
+        assert spec.capped == (name != base)
+        assert spec.adaptive_p == bool(kp or kep or p)
+        assert spec.learning_kappa == bool(learning)
 
     def test_flag_mapping(self):
         leach = algorithm("leach")
