@@ -104,7 +104,11 @@ NodeRecord = namedtuple("NodeRecord", "id x y advanced initial_energy "
 
 @dataclass(eq=False)
 class Network:
-    """The field's nodes as one array per attribute; index i is node i."""
+    """A run's one state: the field's nodes as one array per attribute (index
+    i is node i), what `simulator.start_run` fixes per run, and the engine's
+    caches, each derived on first use. The learned budget and the dead-advanced
+    count are tagged with the alive count they were derived at: deaths only
+    shrink the alive set, so within a run that count identifies them."""
 
     xy: np.ndarray                          # (2, N) positions, m; nodes never move
     advanced: np.ndarray                    # bool: the advanced tier
@@ -113,6 +117,15 @@ class Network:
     alive: np.ndarray = field(init=False)
     eligible: np.ndarray = field(init=False)  # may still serve as head this epoch
     grids: dict = field(init=False, default_factory=dict)   # membership's, by cell count
+    round: int = field(init=False, default=0)
+    kappa_max_raw: float = field(init=False, default=math.inf)   # the budget of this round
+    p_effective: float = field(init=False, default=1.0)   # the run's p this round
+    bs_dist: np.ndarray | None = field(init=False, default=None)   # sqrt(dx*dx + dy*dy), m
+    uplink: np.ndarray | None = field(init=False, default=None)   # one packet over it, J
+    head_costs: np.ndarray | None = field(init=False, default=None)   # by member count, J
+    cumulative_consumed: float = field(init=False, default=0.0)
+    learned: tuple[int, float] = field(init=False, default=(-1, 0.0))   # (alive, its kappa)
+    dead_advanced: tuple[int, int] = field(init=False, default=(-1, 0))  # (alive, its count)
 
     def __post_init__(self) -> None:
         self.e_res = self.e0.copy()

@@ -13,8 +13,8 @@ from . import reporting
 from .analysis import adaptive_probability, max_clusters, representative_bs_distance
 from .election import elect_cluster_heads, refresh_epoch, tier_probabilities
 from .membership import assign_members
-from .model import (FieldConfig, Network, RadioParams, _require, check_range, deploy_field,
-                    head_costs, ordered_sum, round_half_up, tx_energies)
+from .model import (FieldConfig, Network, RadioParams, _require, _require_int, check_range,
+                    deploy_field, head_costs, ordered_sum, round_half_up, tx_energies)
 from .reporting import RoundRecord
 
 RNG_ALGORITHM = "python-random-mt19937"
@@ -65,27 +65,6 @@ def algorithm(name: str) -> AlgorithmSpec:
     return spec
 
 
-@dataclass
-class SimulationState:
-    """Mutable per-run state: the network, what is fixed per run, and caches.
-
-    A fresh state derives each cache on first use. The learned budget and the
-    dead-advanced count are tagged with the alive count they were derived at:
-    deaths only shrink the alive set, so within a run the count identifies it.
-    """
-
-    network: Network
-    round: int
-    kappa_max_raw: float
-    p_effective: float
-    bs_dist: np.ndarray           # each node's sqrt(dx*dx + dy*dy) to the BS, m
-    uplink: np.ndarray            # each node's cost of one packet over bs_dist, J
-    cumulative_consumed: float = 0.0
-    head_costs: np.ndarray | None = None   # a head's rx + aggregation by member count, J
-    learned: tuple[int, float] = (-1, 0.0)      # (alive count, its learned kappa)
-    dead_advanced: tuple[int, int] = (-1, 0)    # (alive count, its dead advanced nodes)
-
-
 def _geometry_caches(network: Network, bs: tuple[float, float],
                      radio: RadioParams) -> tuple[np.ndarray, np.ndarray]:
     """Set-up: each node's distance sqrt(dx*dx + dy*dy) to the BS, which the
@@ -105,8 +84,7 @@ def _checked_kappa(radio: RadioParams, side_m: float, bs_dist: np.ndarray, alive
     return kappa
 
 
-def learning_update(state: SimulationState, radio: RadioParams,
-                    field: FieldConfig) -> float:
+def learning_update(net: Network, radio: RadioParams, field: FieldConfig) -> float:
     """Re-derive the cluster budget from the surviving population.
 
     The closed form (`max_clusters`) is re-evaluated with the alive count in
@@ -114,19 +92,19 @@ def learning_update(state: SimulationState, radio: RadioParams,
     the representative uplink distance. Before any death these are exactly
     the a-priori inputs, so the budget is a fixed point until the first death.
     Both depend on the alive set alone: the budget is derived again only when
-    the alive count differs from the one in `state.learned`.
+    the alive count differs from the one in `net.learned`.
     """
-    alive = state.network.alive
+    alive = net.alive
     count = int(np.count_nonzero(alive))
-    if count != state.learned[0]:
-        state.learned = (count, _checked_kappa(radio, field.side_m, state.bs_dist, alive,
-                                               count, state.kappa_max_raw))
-    return state.learned[1]
+    if count != net.learned[0]:
+        net.learned = (count, _checked_kappa(radio, field.side_m, net.bs_dist, alive,
+                                             count, net.kappa_max_raw))
+    return net.learned[1]
 
 
-def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
+def run_round(net: Network, algo: AlgorithmSpec, radio: RadioParams,
               field: FieldConfig, rng: random.Random) -> RoundRecord:
-    """Execute one full round and advance the state.
+    """Execute one full round and advance the run state `net`.
 
     Election and membership are decided first; the steady state then charges
     members for the uplink to their head, heads for receive + aggregate +
@@ -135,52 +113,51 @@ def run_round(state: SimulationState, algo: AlgorithmSpec, radio: RadioParams,
     heads, then headless nodes, each in id order. Deaths take effect at the
     end of the round; the adapted probability and (when learning) the
     cluster budget are recomputed last for the next round. The dead-advanced
-    count is redone only on a death (see SimulationState).
+    count is redone only on a death (see `model.Network`).
     """
-    net = state.network
     sep_params = ((field.advanced_energy_factor, field.advanced_fraction)
                   if algo.base == SEP else None)
-    tier_probs = tier_probabilities(field.base_probability, sep_params, state.p_effective)
-    refresh_epoch(net, tier_probs, state.round)
-    cap = max(1, round_half_up(state.kappa_max_raw)) if algo.capped else None
-    heads = elect_cluster_heads(net, tier_probs, state.round, rng,
+    tier_probs = tier_probabilities(field.base_probability, sep_params, net.p_effective)
+    refresh_epoch(net, tier_probs, net.round)
+    cap = max(1, round_half_up(net.kappa_max_raw)) if algo.capped else None
+    heads = elect_cluster_heads(net, tier_probs, net.round, rng,
                                 energy_weighted=algo.energy_weighted,
                                 by_alive_mean=algo.adaptive_p, cap=cap).heads
     assignment = assign_members(net, heads, algo.join_beta)
 
     if heads.size:   # with heads, every alive non-head is a member
-        if state.head_costs is None:
-            state.head_costs = head_costs(radio, np.arange(len(net) + 1))
+        if net.head_costs is None:
+            net.head_costs = head_costs(radio, np.arange(len(net) + 1))
         counts = np.bincount(assignment.head_ids, minlength=len(net))[heads]
         charged = np.concatenate((assignment.member_ids, heads))
         cost = np.concatenate((tx_energies(radio, assignment.d2),
-                               state.head_costs[counts] + state.uplink[heads]))
+                               net.head_costs[counts] + net.uplink[heads]))
     else:            # without, every alive node goes direct to the BS
         charged = assignment.unassigned_ids
-        cost = state.uplink[charged]
+        cost = net.uplink[charged]
     residual = net.e_res[charged]
     drawn = np.minimum(cost, residual)
     net.e_res[charged] = residual - drawn
     np.greater(net.e_res, 0.0, out=net.alive)
-    state.cumulative_consumed += ordered_sum(drawn)
+    net.cumulative_consumed += ordered_sum(drawn)
 
     n = len(net)
     alive = int(np.count_nonzero(net.alive))
-    if state.dead_advanced[0] != alive:
-        state.dead_advanced = (alive, int(np.count_nonzero(net.advanced & ~net.alive)))
-    dead_advanced = state.dead_advanced[1]
+    if net.dead_advanced[0] != alive:
+        net.dead_advanced = (alive, int(np.count_nonzero(net.advanced & ~net.alive)))
+    dead_advanced = net.dead_advanced[1]
     # In the CSV's column order; positional arguments cost half of keywords.
-    record = RoundRecord(state.round, alive, n - alive, n - alive - dead_advanced,
+    record = RoundRecord(net.round, alive, n - alive, n - alive - dead_advanced,
                          dead_advanced, heads.size, ordered_sum(net.e_res),
-                         state.p_effective, state.kappa_max_raw)
+                         net.p_effective, net.kappa_max_raw)
 
     if alive > 0:
         # The budget evolves first so the adapted probability sees it.
         if algo.learning_kappa:
-            state.kappa_max_raw = learning_update(state, radio, field)
+            net.kappa_max_raw = learning_update(net, radio, field)
         if algo.adaptive_p:
-            state.p_effective = adaptive_probability(state.kappa_max_raw, alive)
-    state.round += 1
+            net.p_effective = adaptive_probability(net.kappa_max_raw, alive)
+    net.round += 1
     return record
 
 
@@ -189,27 +166,33 @@ def _config_hash(field: FieldConfig, radio: RadioParams) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def start_run(net: Network, field: FieldConfig, radio: RadioParams) -> Network:
+    """Set-up: round 0 at the field's p, each node's BS distance and uplink
+    cost, and the a-priori budget at the field's node count; returns `net`."""
+    net.bs_dist, net.uplink = _geometry_caches(net, field.bs_position, radio)
+    net.kappa_max_raw = _checked_kappa(radio, field.side_m, net.bs_dist, net.alive,
+                                       field.node_count)
+    net.round, net.p_effective = 0, field.base_probability
+    return net
+
+
 def run_simulation(field: FieldConfig, radio: RadioParams,
                    algo: AlgorithmSpec | str, seed: int) -> "reporting.SimulationSummary":
     """Deploy a field and run rounds until max_rounds or total extinction."""
     if isinstance(algo, str):
         algo = algorithm(algo)
+    _require_int("seed", seed, 0, as_float=False)
     check_range(field.side_m, field.node_count, radio)
     rng = random.Random(seed)
-    network = deploy_field(field, rng)
-    bs_dist, uplink = _geometry_caches(network, field.bs_position, radio)
-    kappa = _checked_kappa(radio, field.side_m, bs_dist, network.alive, field.node_count)
-    state = SimulationState(network=network, round=0, kappa_max_raw=kappa,
-                            p_effective=field.base_probability, bs_dist=bs_dist,
-                            uplink=uplink)
+    net = start_run(deploy_field(field, rng), field, radio)
 
     series = reporting.RoundSeries()
     consumed_series = array("d")
-    alive = len(network)
+    alive = len(net)
     while alive and len(consumed_series) < field.max_rounds:
-        record = run_round(state, algo, radio, field, rng)
+        record = run_round(net, algo, radio, field, rng)
         series.append(record)
-        consumed_series.append(state.cumulative_consumed)
+        consumed_series.append(net.cumulative_consumed)
         alive = record.alive
 
     first, half, last = reporting.stability_metrics(series, field.node_count)
@@ -219,5 +202,5 @@ def run_simulation(field: FieldConfig, radio: RadioParams,
         rounds_executed=len(series), series=series,
         metadata={"rng_algorithm": RNG_ALGORITHM,
                   "config_hash": _config_hash(field, radio)},
-        initial_energy_total=ordered_sum(network.e0),
+        initial_energy_total=ordered_sum(net.e0),
         consumed_series=consumed_series)

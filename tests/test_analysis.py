@@ -9,7 +9,7 @@ from wsnsim import FieldConfig, RadioParams
 from wsnsim.analysis import (adaptive_probability, max_clusters, optimal_distance,
                              representative_bs_distance)
 from wsnsim.model import deploy_field
-from wsnsim.simulator import SimulationState, _geometry_caches, algorithm, run_round
+from wsnsim.simulator import _geometry_caches, algorithm, run_round, start_run
 
 # Closed-form values at the default parameter set with a 50 m uplink distance,
 # frozen after computing them by direct evaluation of the formulas.
@@ -41,11 +41,9 @@ def cap(kappa):
     kappa: the head count of a `leach-kp` round in which p = 1 makes all 100
     nodes candidates."""
     field, radio = FieldConfig(base_probability=1.0), RadioParams()
-    network = deploy_field(field, random.Random(0))
-    bs_dist, uplink = _geometry_caches(network, field.bs_position, radio)
-    state = SimulationState(network=network, round=0, kappa_max_raw=kappa, p_effective=1.0,
-                            bs_dist=bs_dist, uplink=uplink)
-    rec = run_round(state, algorithm("leach-kp"), radio, field, random.Random(0))
+    net = start_run(deploy_field(field, random.Random(0)), field, radio)
+    net.kappa_max_raw = kappa
+    rec = run_round(net, algorithm("leach-kp"), radio, field, random.Random(0))
     return rec.head_count
 
 

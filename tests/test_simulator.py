@@ -17,8 +17,7 @@ from wsnsim import FieldConfig, RadioParams, algorithm_names, run_simulation, si
 from wsnsim.analysis import max_clusters, representative_bs_distance
 from wsnsim.model import deploy_field, ordered_sum, round_half_up
 from wsnsim.reporting import round_csv_text, summary_json_text
-from wsnsim.simulator import (SimulationState, _geometry_caches, algorithm,
-                              learning_update, run_round)
+from wsnsim.simulator import algorithm, learning_update, run_round, start_run
 
 EXPECTED_NAMES = [
     "leach", "sep", "leach-kp", "leach-kep", "sep-kp", "sep-kep",
@@ -42,12 +41,14 @@ def small_field(**kw):
     return FieldConfig(**defaults)
 
 
-def make_state(network, bs, kappa=10.0, p=0.1, radio=RadioParams()):
+def make_state(network, field, kappa=10.0, p=0.1, radio=RadioParams()):
+    """The engine's set-up of `network` (a Network or a list of Nodes) on
+    `field`, then the budget `kappa` and the probability `p`."""
     if isinstance(network, list):
         network = network_of(network)
-    bs_dist, uplink = _geometry_caches(network, bs, radio)
-    return SimulationState(network=network, round=0, kappa_max_raw=kappa,
-                           p_effective=p, bs_dist=bs_dist, uplink=uplink)
+    net = start_run(network, field, radio)
+    net.kappa_max_raw, net.p_effective = kappa, p
+    return net
 
 
 class TestRegistry:
@@ -94,7 +95,7 @@ class TestRunRound:
         # plus the BS uplink, receives nothing.
         field = FieldConfig(node_count=1, base_probability=1.0, max_rounds=10)
         nodes = [Node(id=0, x=30.0, y=50.0, tier="normal", initial_energy=0.5)]
-        state = make_state(nodes, field.bs_position, kappa=1.0, p=1.0, radio=radio)
+        state = make_state(nodes, field, kappa=1.0, p=1.0, radio=radio)
         rec = run_round(state, algorithm("leach"), radio, field, random.Random(1))
         l = radio.packet_bits
         expected = (l * radio.aggregation_energy_per_bit
@@ -108,7 +109,7 @@ class TestRunRound:
                  for i in range(4)]
         for n in nodes:
             n.eligible = False  # mid-epoch, everyone has served
-        state = make_state(nodes, field.bs_position, radio=radio)
+        state = make_state(nodes, field, radio=radio)
         state.round = 3  # not an epoch boundary, so no refresh
         rec = run_round(state, algorithm("leach"), radio, field, random.Random(1))
         assert rec.head_count == 0
@@ -122,7 +123,7 @@ class TestRunRound:
         field = small_field()
         rng = random.Random(3)
         net = deploy_field(field, rng)
-        state = make_state(net, field.bs_position, radio=radio)
+        state = make_state(net, field, radio=radio)
         for _ in range(50):
             before = sum(net.e_res)
             consumed_before = state.cumulative_consumed
@@ -139,6 +140,17 @@ class TestRunSimulation:
         assert s.series == []
         assert s.rounds_executed == 0
         assert s.first_death_round is None
+
+    @pytest.mark.parametrize("seed, ok", [(None, False), (-1, False), (1.0, False),
+                                          (True, False), ("1", False), (0, True), (2 ** 64, True)])
+    def test_seed_is_an_integer_at_least_zero(self, radio, seed, ok):
+        # random.Random would seed from the clock on None, and replay seed 1
+        # under the labels -1, 1.0 and True.
+        if ok:
+            assert run_simulation(small_field(max_rounds=3), radio, "leach", seed).seed == seed
+        else:
+            with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+                run_simulation(small_field(max_rounds=3), radio, "leach", seed)
 
     @pytest.mark.parametrize("side", [1e100, 1e-200])
     def test_bad_range_raises_on_every_call(self, radio, side):
@@ -229,7 +241,7 @@ class TestRunSimulation:
         radio = RadioParams()
         rng = random.Random(13)
         net = deploy_field(field, rng)
-        state = make_state(net, field.bs_position)
+        state = make_state(net, field)
         last_head_round = {}
         elect = simulator.elect_cluster_heads
 
@@ -299,7 +311,7 @@ class TestLearningUpdate:
         radio = RadioParams()
         rng = random.Random(4)
         net = deploy_field(field, rng)
-        state = make_state(net, field.bs_position)
+        state = make_state(net, field)
         d0 = representative_bs_distance(state.bs_dist, net.alive)
         initial = max_clusters(radio, field.side_m, field.node_count, d0)
         updated = learning_update(state, radio, field)
@@ -313,7 +325,7 @@ class TestLearningUpdate:
         radio = RadioParams()
         bx, by = field.bs_position
         net = deploy_field(field, random.Random(4))
-        state = make_state(net, field.bs_position)
+        state = make_state(net, field)
         before = learning_update(state, radio, field)
         net.alive[::3] = False
         net.e_res[::3] = 0.0
@@ -330,9 +342,9 @@ class TestLearningUpdate:
         field = FieldConfig(node_count=40, max_rounds=50)
         radio = RadioParams()
         bs = field.bs_position
-        state = make_state(self._ring_nodes(40, 30.0, bs), bs)
+        state = make_state(self._ring_nodes(40, 30.0, bs), field)
         full = learning_update(state, radio, field)
-        state.network.alive[::2] = False
+        state.alive[::2] = False
         halved = learning_update(state, radio, field)
         assert halved == pytest.approx(full / math.sqrt(2), rel=1e-12)
 
@@ -341,7 +353,7 @@ class TestLearningUpdate:
         # these distances differs from 1/11 in the last bits.
         field = FieldConfig(node_count=11, max_rounds=5)
         radio = RadioParams()
-        state = make_state(self._ring_nodes(11, 10.0, field.bs_position), field.bs_position)
+        state = make_state(self._ring_nodes(11, 10.0, field.bs_position), field)
         state.bs_dist = np.array([1.0] + [1e-16] * 10)
         expected = max_clusters(radio, field.side_m, 11, 1.0 / 11)
         assert learning_update(state, radio, field) == expected
@@ -355,9 +367,7 @@ class TestLearningUpdate:
                             advanced_fraction=0.3)
         radio, algo, rng = RadioParams(), algorithm(name), random.Random(5)
         net = deploy_field(field, rng)
-        state = make_state(net, field.bs_position, radio=radio)
-        state.kappa_max_raw = max_clusters(radio, field.side_m, field.node_count,
-                                           representative_bs_distance(state.bs_dist, net.alive))
+        state = start_run(net, field, radio)
         kappas = set()
         while net.alive.any():
             rec = run_round(state, algo, radio, field, rng)
@@ -374,9 +384,9 @@ class TestLearningUpdate:
         field = FieldConfig(node_count=4, bs_position=(0.0, 0.0))
         nodes = [Node(id=i, x=distance if i < 2 else 50.0, y=0.0, tier="normal",
                       initial_energy=0.5) for i in range(4)]
-        state = make_state(nodes, field.bs_position)
-        state.network.alive[2:] = False
-        state.network.e_res[2:] = 0.0
+        state = make_state(nodes, field)
+        state.alive[2:] = False
+        state.e_res[2:] = 0.0
         return field, state
 
     def test_budget_beyond_float_range_names_the_settings(self):
