@@ -114,12 +114,12 @@ def _build(settings) -> RunConfig:
                 owner, name, kind = _SCALAR_KEYS[key]
                 owners[owner][name] = _parse(kind, raw)
                 cfg.origins[name] = where
-            elif key == "output_dir":
-                cfg.output_dir = Path(raw)
             elif key == "algorithms":
                 cfg.algorithms = _unique([algorithm(v).name for v in values])
-            elif key in ("seeds", "formats") and not values:
-                raise ValueError(f"{key} must be non-empty")
+            elif key in ("seeds", "formats") and not values or key == "output_dir" and not raw:
+                raise ValueError(f"{key} must be non-empty")   # "" would be the working dir
+            elif key == "output_dir":
+                cfg.output_dir = Path(raw)
             elif key == "seeds":
                 cfg.seeds = _unique([_parse(int, v) for v in values])
                 if min(cfg.seeds) < 0:   # random.Random(-s) would replay seed s
@@ -133,9 +133,7 @@ def _build(settings) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
 
-    side = owners["field"].get("side_m", FieldConfig.side_m)
-    owners["field"]["bs_position"] = tuple(owners["bs"].get(f"bs_position {a}", side / 2)
-                                           for a in "xy")
+    owners["field"]["bs_position"] = tuple(owners["bs"].get(f"bs_position {a}") for a in "xy")
     try:
         cfg.field = FieldConfig(**owners["field"])
         cfg.radio = RadioParams(**owners["radio"])
@@ -143,18 +141,6 @@ def _build(settings) -> RunConfig:
     except (ValueError, ArithmeticError) as exc:   # e.g. nodes beyond the float range
         raise ConfigError(cfg.locate(str(exc))) from exc
     return cfg
-
-
-def parse_config(path: str | Path) -> RunConfig:
-    """Read a key-value config file; unset keys keep the built-in defaults.
-
-    Lines are `key = value`; `#` and `;` start comments; `[section]` headers
-    are allowed for grouping and otherwise ignored. Unknown keys, unparsable or
-    out-of-range values (a negative seed, an empty seed or format list) are
-    configuration errors naming the line and key. An unset BS coordinate is
-    the centre of the configured side.
-    """
-    return _build(_config_lines(path))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -48,9 +48,11 @@ class RadioParams:
 
     def __post_init__(self) -> None:
         _require_int("packet_bits", self.packet_bits, 1)
+        object.__setattr__(self, "packet_bits", int(self.packet_bits))   # equal ones print alike
         for name in ("elec_energy_per_bit", "fs_amp", "mp_amp", "aggregation_energy_per_bit"):
             value = getattr(self, name)
             _require(name, value, 0 < value < math.inf, "finite and strictly positive")
+            object.__setattr__(self, name, value := float(value))
             _require(f"packet_bits * {name}", cost := self.packet_bits * value,
                      cost < math.inf, "finite")
         _require("fs_amp", self.fs_amp, self.fs_amp > self.mp_amp,   # crossover > 1 m
@@ -61,11 +63,12 @@ class RadioParams:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Deployment geometry, node population, and heterogeneity settings."""
+    """Deployment geometry, node population, and heterogeneity settings. A
+    `None` BS coordinate is the centre of `side_m`."""
 
     side_m: float = 100.0
     node_count: int = 100
-    bs_position: tuple[float, float] = (50.0, 50.0)
+    bs_position: tuple[float | None, float | None] = (None, None)
     base_probability: float = 0.1
     advanced_fraction: float = 0.1
     advanced_energy_factor: float = 1.0
@@ -77,12 +80,14 @@ class FieldConfig:
                      "advanced_energy_factor", "initial_energy"):
             value = getattr(self, name)
             _require(name, value, math.isfinite(value), "finite")
-        for axis, value in zip("xy", self.bs_position):
-            _require(f"bs_position {axis}", value, math.isfinite(value), "finite")
+            object.__setattr__(self, name, float(value))   # equal values print alike
         _require_int("node_count", self.node_count, 1)
-        _require("node_count", self.node_count, self.node_count <= sys.maxsize // 2,
-                 f"at most {sys.maxsize // 2}, so that its 2 * N draws can be indexed")
+        _require("node_count", self.node_count, self.node_count < 1 << 24,
+                 "at most 16777215: its 2 * N position draws, of 64 bits each, come from one"
+                 " getrandbits call, whose bit count is a C int")
         _require_int("max_rounds", self.max_rounds, 0, as_float=False)   # only compared
+        for name in ("node_count", "max_rounds"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         _require("side_m", self.side_m, self.side_m > 0, "positive")
         p, m, a, e0 = (self.base_probability, self.advanced_fraction,
                        self.advanced_energy_factor, self.initial_energy)
@@ -90,9 +95,15 @@ class FieldConfig:
         _require("advanced_fraction", m, 0 <= m <= 1, "in [0, 1]")
         _require("advanced_energy_factor", a, a >= 0, ">= 0")
         _require("initial_energy", e0, e0 > 0, "positive")
-        for axis, value in zip("xy", self.bs_position):
+        bs = self.bs_position
+        _require("bs_position", bs, isinstance(bs, (tuple, list)) and len(bs) == 2,
+                 "two coordinates (x, y)")
+        bs = tuple(self.side_m / 2 if v is None else v for v in bs)
+        for axis, value in zip("xy", bs):
+            _require(f"bs_position {axis}", value, math.isfinite(value), "finite")
             _require(f"bs_position {axis}", value, 0 <= value <= self.side_m,
                      f"in [0, side_m = {self.side_m!r}]")
+        object.__setattr__(self, "bs_position", tuple(map(float, bs)))
         total = e0 * self.node_count * (1.0 + a)
         _require("initial_energy * node_count * (1 + advanced_energy_factor)", total,
                  math.isfinite(total), "finite")

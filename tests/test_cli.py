@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from wsnsim import algorithm_names
-from wsnsim.cli import (_SCALAR_KEYS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, ConfigError, _unique,
-                        main, parse_config)
+from wsnsim.cli import (_SCALAR_KEYS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, ConfigError, _build,
+                        _config_lines, _unique, main)
 
 # Settings that pass the per-field checks but whose arithmetic leaves the float
 # range, each with its exit code and the part of its one-line error that names
@@ -36,6 +36,10 @@ OUT_OF_RANGE = {
         (EXIT_CONFIG, "line 1: key 'packet_bits': node_count * packet_bits"),
 }
 ERROR_PREFIX = {EXIT_RUNTIME: "wsnsim: error: ", EXIT_CONFIG: "wsnsim: configuration error: "}
+
+
+def parse_config(path):
+    return _build(_config_lines(path))
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -361,7 +365,7 @@ class TestMain:
         ("packet_bits", 10 ** 400, "packet_bits must be not too large for a float"),
         # a packet's electronics cost, which no distance enters, overflows
         ("elec_energy_per_bit", 1e308, "packet_bits * elec_energy_per_bit must be finite"),
-        # a float holds it, but 2 * N draws cannot be indexed
+        # a float holds it, but one getrandbits call cannot draw its 2 * N positions
         ("nodes", 10 ** 20, "node_count must be at most"),
         # a packet's aggregation cost, which every head pays per member
         ("aggregation_energy_per_bit", 1e308,
@@ -379,6 +383,33 @@ class TestMain:
         assert err.startswith(f"wsnsim: configuration error: line 1: key '{key}': {message}")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_node_count_beyond_one_draw_call_names_its_line(self, capsys, tmp_path):
+        # 2 * 2**24 draws of 64 bits each exceed the C int bit count of one
+        # getrandbits call; the field is rejected before it is deployed.
+        cfg = write_cfg(tmp_path, "nodes = 16777216\nalgorithms = leach\n")
+        rc = main(["--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == ("wsnsim: configuration error: line 1: key 'nodes': "
+                                           "node_count must be at most 16777215: its 2 * N "
+                                           "position draws, of 64 bits each, come from one "
+                                           "getrandbits call, whose bit count is a C int, "
+                                           "got 16777216\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, argv, where", [
+        ("output_dir =\n", [], "line 2: key 'output_dir'"),
+        ("", ["--output-dir", ""], "--output-dir")], ids=["line", "flag"])
+    def test_empty_output_dir_is_config_error(self, capsys, tmp_path, monkeypatch, text,
+                                              argv, where):
+        # Path("") is the working directory, which would take the outputs.
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, f"algorithms = leach\n{text}max_rounds = 2\n")
+        rc = main(["--config", str(cfg), *argv])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"wsnsim: configuration error: {where}: output_dir must be non-empty\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize("text, where", [
         ("side = 1e-155\n", "line 1: key 'side'"),

@@ -16,6 +16,7 @@ import hashlib
 
 import pytest
 
+from run_bits import full_precision_text
 from wsnsim import FieldConfig, RadioParams, algorithm_names, run_simulation
 from wsnsim.reporting import round_csv_text, summary_json_text
 
@@ -30,14 +31,6 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _full_precision_text(s) -> str:
-    lines = [repr(s.initial_energy_total)]
-    lines += [f"{r.residual_energy_total!r},{r.p_used!r},{r.kappa_used!r}"
-              for r in s.series]
-    lines += map(repr, s.consumed_series)
-    return "\n".join(lines)
-
-
 @functools.cache
 def _digests(field: FieldConfig, seeds) -> tuple[dict[str, str], dict[str, str]]:
     """(byte digests, full-precision digests) of every algorithm x seed."""
@@ -47,7 +40,7 @@ def _digests(field: FieldConfig, seeds) -> tuple[dict[str, str], dict[str, str]]
     out = {f"{s.algorithm}/seed-{s.seed}.csv": _sha(round_csv_text(s))
            for s in summaries}
     out["summary.json"] = _sha(summary_json_text(summaries))
-    full = {f"{s.algorithm}/seed-{s.seed}": _sha(_full_precision_text(s))
+    full = {f"{s.algorithm}/seed-{s.seed}": _sha(full_precision_text(s))
             for s in summaries}
     return out, full
 

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -187,11 +186,23 @@ class TestFieldConfigValidation:
     def test_accepts_boundary_values(self, kw):
         assert FieldConfig(**kw).advanced_fraction == kw["advanced_fraction"]
 
-    def test_node_count_is_bounded_by_what_an_index_holds(self):
-        # Deployment draws 2 * N positions into one array.
-        assert FieldConfig(node_count=sys.maxsize // 2).node_count == sys.maxsize // 2
-        with pytest.raises(ValueError, match="^node_count must be at most"):
-            FieldConfig(node_count=sys.maxsize // 2 + 1)
+    def test_node_count_is_bounded_by_one_getrandbits_call(self):
+        # Deployment takes 64 * 2 * N bits in one call, and that count is a C int.
+        assert FieldConfig(node_count=2 ** 24 - 1).node_count == 2 ** 24 - 1
+        with pytest.raises(ValueError, match="^node_count must be at most 16777215: .* C int"):
+            FieldConfig(node_count=2 ** 24)
+
+    @pytest.mark.parametrize("side", [40, 200.0])
+    def test_bs_defaults_to_the_centre_of_the_side(self, side):
+        assert FieldConfig(side_m=side).bs_position == (side / 2, side / 2)
+
+    def test_bs_axis_given_as_none_is_centred(self):
+        assert FieldConfig(side_m=60, bs_position=(5.0, None)).bs_position == (5.0, 30.0)
+
+    @pytest.mark.parametrize("bs", [(50.0,), (50.0, 50.0, 50.0), 50.0])
+    def test_bs_position_is_two_coordinates(self, bs):
+        with pytest.raises(ValueError, match=r"^bs_position must be two coordinates \(x, y\)"):
+            FieldConfig(bs_position=bs)
 
 
 class TestDeployField:

@@ -13,9 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_engine
+from run_bits import run_bits
 from wsnsim import FieldConfig, RadioParams, algorithm_names, run_simulation, simulator
 from wsnsim.model import round_half_up
-from wsnsim.reporting import round_csv_text, summary_json_text
 from wsnsim.simulator import algorithm
 
 EXAMPLES = 500
@@ -92,9 +92,7 @@ def outputs(s):
     """Everything a run produces, to the last bit, or the exception it raised."""
     if isinstance(s, Exception):
         return type(s), str(s)
-    full = [(r.residual_energy_total, r.p_used, r.kappa_used) for r in s.series]
-    return (round_csv_text(s), summary_json_text([s]), repr(s.initial_energy_total),
-            repr(full), repr(list(s.consumed_series)))
+    return run_bits(s)
 
 
 def assert_invariants(s, field, spec, rounds):

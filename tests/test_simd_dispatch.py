@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 import wsnsim.membership as membership
+from run_bits import run_bits
 from wsnsim import FieldConfig, RadioParams, run_simulation
-from wsnsim.reporting import round_csv_text, summary_json_text
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -29,8 +29,8 @@ TARGETS = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
 
 CONFIGS = {
     # nearest join on the grid (about 100 heads), multipath uplinks, deaths
-    "leach": FieldConfig(node_count=1000, side_m=300.0, initial_energy=0.05,
-                         max_rounds=30),
+    "leach": FieldConfig(node_count=1000, side_m=300.0, bs_position=(50.0, 50.0),
+                         initial_energy=0.05, max_rounds=30),
     # energy-distance join on the grid (about 170 heads), two tiers
     "sep-kef-1-2-p": FieldConfig(node_count=5000, max_rounds=10),
     # sqrt(d^2) / E join, a corner BS far past the crossover, a learned budget
@@ -44,10 +44,7 @@ def digests() -> dict[str, str]:
     """SHA-256 of each configuration's outputs, with every float at full precision."""
     out = {}
     for name, field in CONFIGS.items():
-        s = run_simulation(field, RadioParams(), name, 0)
-        full = [(r.residual_energy_total, r.p_used, r.kappa_used) for r in s.series]
-        text = "\n".join([round_csv_text(s), summary_json_text([s]),
-                          repr(full), repr(list(s.consumed_series))])
+        text = "\n".join(run_bits(run_simulation(field, RadioParams(), name, 0)))
         out[name] = hashlib.sha256(text.encode()).hexdigest()
     return out
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from reference_engine import Node, network_of
-from wsnsim import FieldConfig, RadioParams, algorithm_names, run_simulation, simulator
+from wsnsim import (FieldConfig, RadioParams, algorithm_names, run_simulation, simulator,
+                    write_round_csv, write_summary_json)
 from wsnsim.analysis import max_clusters, representative_bs_distance
 from wsnsim.model import deploy_field, ordered_sum, round_half_up
 from wsnsim.reporting import round_csv_text, summary_json_text
@@ -275,6 +276,25 @@ class TestRunSimulation:
             leach = run_simulation(field, RadioParams(), leach_name, seed)
             assert sep.last_death_round is not None
             assert round_csv_text(sep) == round_csv_text(leach)
+
+    def test_int_and_numpy_inputs_write_the_bytes_of_their_float_twins(self, tmp_path):
+        # config_hash is the SHA-256 of the configs' repr, which is in summary.json.
+        runs = {
+            "float": (small_field(max_rounds=40), RadioParams()),
+            "mixed": (FieldConfig(side_m=100, node_count=np.int64(30), max_rounds=np.int16(40),
+                                  bs_position=(np.float64(50.0), 50),
+                                  initial_energy=np.float64(0.5)),
+                      RadioParams(elec_energy_per_bit=np.float64(50e-9),
+                                  packet_bits=np.int64(4000))),
+        }
+        written = []
+        for label, (field, radio) in runs.items():
+            s = run_simulation(field, radio, "leach-kef-1-2-p", 3)
+            write_round_csv(s, tmp_path / f"{label}.csv")
+            write_summary_json([s], tmp_path / f"{label}.json")
+            written.append([(tmp_path / f"{label}.{ext}").read_bytes() for ext in ("csv", "json")])
+        assert runs["float"] == runs["mixed"]
+        assert written[0] == written[1]
 
     def test_metadata_identifies_rng_and_config(self):
         field = small_field(max_rounds=5)
