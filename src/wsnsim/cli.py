@@ -6,7 +6,7 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from .model import FieldConfig, RadioParams, check_range
+from .model import FieldConfig, RadioParams, _require_int, check_range
 from .reporting import write_round_csv, write_summary_json
 from .simulator import algorithm, algorithm_names, run_simulation
 
@@ -121,9 +121,7 @@ def _build(settings) -> RunConfig:
             elif key == "output_dir":
                 cfg.output_dir = Path(raw)
             elif key == "seeds":
-                cfg.seeds = _unique([_parse(int, v) for v in values])
-                if min(cfg.seeds) < 0:   # random.Random(-s) would replay seed s
-                    raise ValueError(f"seeds must be integers >= 0, got {min(cfg.seeds)}")
+                cfg.seeds = _unique([_require_int("seeds", _parse(int, v), 0) for v in values])
             elif key == "formats":
                 cfg.formats = {v.lower() for v in values}
                 if bad := cfg.formats.difference(FORMATS):
@@ -138,7 +136,7 @@ def _build(settings) -> RunConfig:
         cfg.field = FieldConfig(**owners["field"])
         cfg.radio = RadioParams(**owners["radio"])
         check_range(cfg.field.side_m, cfg.field.node_count, cfg.radio)   # every charge
-    except (ValueError, ArithmeticError) as exc:   # e.g. nodes beyond the float range
+    except ValueError as exc:
         raise ConfigError(cfg.locate(str(exc))) from exc
     return cfg
 
@@ -193,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:   # not located: its path may contain a field's name
         print(f"wsnsim: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (ValueError, ArithmeticError) as exc:   # e.g. a float overflow, or a run's kappa
+    except ValueError as exc:   # e.g. a run's kappa
         print(f"wsnsim: error: {cfg.locate(str(exc))}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

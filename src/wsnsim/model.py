@@ -23,12 +23,21 @@ def _require(name: str, value, ok: bool, want: str) -> None:
         raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
-def _require_int(name: str, value, low: int, as_float: bool = True) -> None:
-    """An integer >= low; unless `as_float` is False, one a float can hold."""
-    _require(name, value, not isinstance(value, bool) and isinstance(value, numbers.Integral)
+def _require_int(name: str, value, low: int) -> int:
+    """An integer, not a bool, >= low; returned as the int a config stores."""
+    _require(name, value, isinstance(value, numbers.Integral) and not isinstance(value, bool)
              and value >= low, f"an integer >= {low}")
-    _require(name, value, not as_float or value <= sys.float_info.max,
-             "not too large for a float")
+    return int(value)
+
+
+def _require_real(name: str, value) -> float:
+    """A real number, not a bool, finite as a float (an int past its range is
+    not); returned as the float a config stores, so equal values print alike."""
+    _require(name, value, isinstance(value, numbers.Real) and not isinstance(value, bool),
+             "a real number")
+    _require(name, value, -sys.float_info.max <= value <= sys.float_info.max   # compared exactly
+             if isinstance(value, numbers.Rational) else math.isfinite(value), "finite")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -47,18 +56,16 @@ class RadioParams:
     packet_bits: int = 4000
 
     def __post_init__(self) -> None:
-        _require_int("packet_bits", self.packet_bits, 1)
-        object.__setattr__(self, "packet_bits", int(self.packet_bits))   # equal ones print alike
+        bits = _require_int("packet_bits", self.packet_bits, 1)
+        _require_real("packet_bits", bits)   # it scales each per-bit constant
+        object.__setattr__(self, "packet_bits", bits)
         for name in ("elec_energy_per_bit", "fs_amp", "mp_amp", "aggregation_energy_per_bit"):
-            value = getattr(self, name)
-            _require(name, value, 0 < value < math.inf, "finite and strictly positive")
-            object.__setattr__(self, name, value := float(value))
-            _require(f"packet_bits * {name}", cost := self.packet_bits * value,
-                     cost < math.inf, "finite")
+            object.__setattr__(self, name, value := _require_real(name, getattr(self, name)))
+            _require(name, value, value > 0, "strictly positive")
+            _require_real(f"packet_bits * {name}", bits * value)
         _require("fs_amp", self.fs_amp, self.fs_amp > self.mp_amp,   # crossover > 1 m
                  f"greater than mp_amp ({self.mp_amp!r})")
-        _require("fs_amp / mp_amp", ratio := self.fs_amp / self.mp_amp,   # the crossover d^2
-                 ratio < math.inf, "finite")
+        _require_real("fs_amp / mp_amp", self.fs_amp / self.mp_amp)   # the crossover d^2
 
 
 @dataclass(frozen=True)
@@ -78,16 +85,12 @@ class FieldConfig:
     def __post_init__(self) -> None:
         for name in ("side_m", "base_probability", "advanced_fraction",
                      "advanced_energy_factor", "initial_energy"):
-            value = getattr(self, name)
-            _require(name, value, math.isfinite(value), "finite")
-            object.__setattr__(self, name, float(value))   # equal values print alike
-        _require_int("node_count", self.node_count, 1)
+            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
+        for name, low in (("node_count", 1), ("max_rounds", 0)):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name), low))
         _require("node_count", self.node_count, self.node_count < 1 << 24,
                  "at most 16777215: its 2 * N position draws, of 64 bits each, come from one"
                  " getrandbits call, whose bit count is a C int")
-        _require_int("max_rounds", self.max_rounds, 0, as_float=False)   # only compared
-        for name in ("node_count", "max_rounds"):
-            object.__setattr__(self, name, int(getattr(self, name)))
         _require("side_m", self.side_m, self.side_m > 0, "positive")
         p, m, a, e0 = (self.base_probability, self.advanced_fraction,
                        self.advanced_energy_factor, self.initial_energy)
@@ -98,15 +101,14 @@ class FieldConfig:
         bs = self.bs_position
         _require("bs_position", bs, isinstance(bs, (tuple, list)) and len(bs) == 2,
                  "two coordinates (x, y)")
-        bs = tuple(self.side_m / 2 if v is None else v for v in bs)
+        bs = tuple(self.side_m / 2 if v is None else _require_real(f"bs_position {axis}", v)
+                   for axis, v in zip("xy", bs))
         for axis, value in zip("xy", bs):
-            _require(f"bs_position {axis}", value, math.isfinite(value), "finite")
             _require(f"bs_position {axis}", value, 0 <= value <= self.side_m,
                      f"in [0, side_m = {self.side_m!r}]")
-        object.__setattr__(self, "bs_position", tuple(map(float, bs)))
-        total = e0 * self.node_count * (1.0 + a)
-        _require("initial_energy * node_count * (1 + advanced_energy_factor)", total,
-                 math.isfinite(total), "finite")
+        object.__setattr__(self, "bs_position", bs)
+        _require_real("initial_energy * node_count * (1 + advanced_energy_factor)",
+                      e0 * self.node_count * (1.0 + a))
 
 
 NodeRecord = namedtuple("NodeRecord", "id x y advanced initial_energy "

@@ -57,11 +57,12 @@ def algorithm_names() -> list[str]:
     return list(REGISTRY)
 
 
-def algorithm(name: str) -> AlgorithmSpec:
-    spec = REGISTRY.get(name.lower())
-    if spec is None:
-        raise ValueError(f"unknown algorithm {name!r}; "
-                         f"known: {', '.join(REGISTRY)}")
+def algorithm(algo: AlgorithmSpec | str) -> AlgorithmSpec:
+    """The registry entry named `algo`, in any case, or equal to the spec `algo`."""
+    name = algo.lower() if isinstance(algo, str) else getattr(algo, "name", None)
+    spec = REGISTRY.get(name) if isinstance(name, str) else None
+    if spec is None or not isinstance(algo, str) and algo != spec:
+        raise ValueError(f"unknown algorithm {algo!r}; known: {', '.join(REGISTRY)}")
     return spec
 
 
@@ -179,9 +180,8 @@ def start_run(net: Network, field: FieldConfig, radio: RadioParams) -> Network:
 def run_simulation(field: FieldConfig, radio: RadioParams,
                    algo: AlgorithmSpec | str, seed: int) -> "reporting.SimulationSummary":
     """Deploy a field and run rounds until max_rounds or total extinction."""
-    if isinstance(algo, str):
-        algo = algorithm(algo)
-    _require_int("seed", seed, 0, as_float=False)
+    algo = algorithm(algo)
+    seed = _require_int("seed", seed, 0)   # random.Random(-s) would replay seed s
     check_range(field.side_m, field.node_count, radio)
     rng = random.Random(seed)
     net = start_run(deploy_field(field, rng), field, radio)

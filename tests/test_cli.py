@@ -120,8 +120,8 @@ class TestParseConfig:
             parse_config(path)
 
     def test_node_count_beyond_float_range_rejected(self, tmp_path):
-        # The total-energy check cannot convert it to a float.
-        with pytest.raises(ConfigError, match="too large"):
+        # No float holds it; the node ceiling alone rejects it.
+        with pytest.raises(ConfigError, match="^line 1: key 'nodes': node_count must be at most"):
             parse_config(write_cfg(tmp_path, f"nodes = {10 ** 400}\n"))
 
     def test_readme_lists_every_config_key(self):
@@ -232,9 +232,9 @@ class TestMain:
         ("", ["--rounds", "x"], "--rounds: cannot parse 'x' as an integer"),
         ("", ["--format", "xml"], "--format: unknown format(s) ['xml']"),
         ("", ["--algorithm", "nope"], "--algorithm: unknown algorithm 'nope'; known: leach,"),
-        ("", ["--seed", "-2"], "--seed: seeds must be integers >= 0, got -2"),
+        ("", ["--seed", "-2"], "--seed: seeds must be an integer >= 0, got -2"),
         ("", ["--rounds", "-1"], "--rounds: max_rounds must be an integer >= 0, got -1"),
-        ("seeds = 3, -3\n", [], "line 2: key 'seeds': seeds must be integers >= 0, got -3"),
+        ("seeds = 3, -3\n", [], "line 2: key 'seeds': seeds must be an integer >= 0, got -3"),
         ("formats =\n", [], "line 2: key 'formats': formats must be non-empty"),
         ("", ["--format", ""], "--format: formats must be non-empty"),
         ("nodes = 10\nmax_rounds = 5\np = 1.5\n", [],
@@ -361,8 +361,9 @@ class TestMain:
         assert OUT_OF_RANGE[text][1] in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, message", [
-        ("nodes", 10 ** 400, "node_count must be not too large for a float"),
-        ("packet_bits", 10 ** 400, "packet_bits must be not too large for a float"),
+        ("nodes", 10 ** 400, "node_count must be at most 16777215"),
+        # it scales each per-bit constant, so it passes the real rule too
+        ("packet_bits", 10 ** 400, "packet_bits must be finite"),
         # a packet's electronics cost, which no distance enters, overflows
         ("elec_energy_per_bit", 1e308, "packet_bits * elec_energy_per_bit must be finite"),
         # a float holds it, but one getrandbits call cannot draw its 2 * N positions

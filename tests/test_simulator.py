@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import os
@@ -152,6 +153,29 @@ class TestRunSimulation:
         else:
             with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
                 run_simulation(small_field(max_rounds=3), radio, "leach", seed)
+
+    @pytest.mark.parametrize("algo", [
+        None, 5, b"leach",
+        # a spec under a registered name with another join: it would run the
+        # E/d^2 join under the label leach
+        dataclasses.replace(algorithm("leach"), join_beta=3),
+        dataclasses.replace(algorithm("sep-kp"), name="leach"),
+    ], ids=["none", "int", "bytes", "join_beta", "renamed"])
+    @pytest.mark.parametrize("rounds", [0, 3])
+    def test_algorithm_that_is_no_registry_entry_is_rejected_before_deployment(
+            self, radio, monkeypatch, algo, rounds):
+        def deploy(*args):
+            raise AssertionError("deployed")
+        monkeypatch.setattr(simulator, "deploy_field", deploy)
+        with pytest.raises(ValueError, match=r"^unknown algorithm .*; known: leach, "):
+            run_simulation(small_field(max_rounds=rounds), radio, algo, 0)
+
+    @pytest.mark.parametrize("algo", ["LEACH-kEP", dataclasses.replace(algorithm("leach-kep"))])
+    def test_name_in_any_case_or_equal_spec_runs_the_registry_entry(self, radio, algo):
+        expected = run_simulation(small_field(max_rounds=20), radio, "leach-kep", 4)
+        summary = run_simulation(small_field(max_rounds=20), radio, algo, 4)
+        assert summary.algorithm == "leach-kep"
+        assert round_csv_text(summary) == round_csv_text(expected)
 
     @pytest.mark.parametrize("side", [1e100, 1e-200])
     def test_bad_range_raises_on_every_call(self, radio, side):
