@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 
 from .model import FieldConfig, RadioParams, _require_int, check_range
@@ -40,12 +40,15 @@ class RunConfig:
         return f"{min(named)[1]}: {message}" if named else message
 
 
-def _parse(kind: type, raw: str):
-    try:
-        return kind(raw)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"cannot parse {raw!r} as {noun}") from None
+def _number(raw: str) -> int | float:
+    """raw as an int where int() reads it, else as a float: the model's rules
+    then decide whether its setting takes that kind of number."""
+    for kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    raise ValueError(f"cannot parse {raw!r} as a number")
 
 
 def _unique(values: list) -> list:
@@ -57,23 +60,16 @@ def _unique(values: list) -> list:
     return values
 
 
-# Scalar config key -> (owner, the keyword or BS axis its messages name, type).
+# Scalar config key -> the keyword it sets, or the BS axis, as messages name it.
 _SCALAR_KEYS = {
-    "side": ("field", "side_m", float),
-    "nodes": ("field", "node_count", int),
-    "p": ("field", "base_probability", float),
-    "advanced_fraction": ("field", "advanced_fraction", float),
-    "advanced_energy_factor": ("field", "advanced_energy_factor", float),
-    "initial_energy": ("field", "initial_energy", float),
-    "max_rounds": ("field", "max_rounds", int),
-    "bs_x": ("bs", "bs_position x", float),
-    "bs_y": ("bs", "bs_position y", float),
-    "elec_energy_per_bit": ("radio", "elec_energy_per_bit", float),
-    "fs_amp": ("radio", "fs_amp", float),
-    "mp_amp": ("radio", "mp_amp", float),
-    "aggregation_energy_per_bit": ("radio", "aggregation_energy_per_bit", float),
-    "packet_bits": ("radio", "packet_bits", int),
+    "side": "side_m", "nodes": "node_count", "p": "base_probability",
+    "advanced_fraction": "advanced_fraction", "advanced_energy_factor": "advanced_energy_factor",
+    "initial_energy": "initial_energy", "max_rounds": "max_rounds",
+    "bs_x": "bs_position x", "bs_y": "bs_position y",
+    "elec_energy_per_bit": "elec_energy_per_bit", "fs_amp": "fs_amp", "mp_amp": "mp_amp",
+    "aggregation_energy_per_bit": "aggregation_energy_per_bit", "packet_bits": "packet_bits",
 }
+_RADIO = {f.name for f in fields(RadioParams)}
 
 # Flag -> (the config key it overrides, argparse action, help); a list key's flag repeats.
 _FLAGS = {
@@ -105,14 +101,13 @@ def _config_lines(path: str | Path):
 
 def _build(settings) -> RunConfig:
     """Check (key, raw value, where) settings in order, later overriding; errors name where."""
-    owners: dict[str, dict] = {"field": {}, "radio": {}, "bs": {}}
+    numbers: dict[str, int | float] = {}   # a keyword or BS axis -> its number
     cfg = RunConfig()
     for key, raw, where in settings:
         values = [v.strip() for v in raw.split(",") if v.strip()]   # a list key's items
         try:
-            if key in _SCALAR_KEYS:
-                owner, name, kind = _SCALAR_KEYS[key]
-                owners[owner][name] = _parse(kind, raw)
+            if name := _SCALAR_KEYS.get(key):
+                numbers[name] = _number(raw)
                 cfg.origins[name] = where
             elif key == "algorithms":
                 cfg.algorithms = _unique([algorithm(v).name for v in values])
@@ -121,7 +116,7 @@ def _build(settings) -> RunConfig:
             elif key == "output_dir":
                 cfg.output_dir = Path(raw)
             elif key == "seeds":
-                cfg.seeds = _unique([_require_int("seeds", _parse(int, v), 0) for v in values])
+                cfg.seeds = _unique([_require_int("seeds", _number(v), 0) for v in values])
             elif key == "formats":
                 cfg.formats = {v.lower() for v in values}
                 if bad := cfg.formats.difference(FORMATS):
@@ -131,10 +126,11 @@ def _build(settings) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
 
-    owners["field"]["bs_position"] = tuple(owners["bs"].get(f"bs_position {a}") for a in "xy")
+    bs = tuple(numbers.pop(f"bs_position {axis}", None) for axis in "xy")
+    radio = {name: numbers.pop(name) for name in _RADIO.intersection(numbers)}
     try:
-        cfg.field = FieldConfig(**owners["field"])
-        cfg.radio = RadioParams(**owners["radio"])
+        cfg.field = FieldConfig(bs_position=bs, **numbers)
+        cfg.radio = RadioParams(**radio)
         check_range(cfg.field.side_m, cfg.field.node_count, cfg.radio)   # every charge
     except ValueError as exc:
         raise ConfigError(cfg.locate(str(exc))) from exc

@@ -20,13 +20,23 @@ def round_half_up(x: float) -> int:
 
 def _require(name: str, value, ok: bool, want: str) -> None:
     if not ok:
-        raise ValueError(f"{name} must be {want}, got {value!r}")
+        try:
+            shown = repr(value)
+        except ValueError:   # it holds an int of more digits than the interpreter prints
+            shown = (f"an int of {value.bit_length()} bits" if isinstance(value, int)
+                     else f"a {type(value).__name__} too large to print")
+        raise ValueError(f"{name} must be {want}, got {shown}")
 
 
 def _require_int(name: str, value, low: int) -> int:
-    """An integer, not a bool, >= low; returned as the int a config stores."""
+    """An integer, not a bool, >= low, whose decimal form the interpreter can
+    print (every output prints it); returned as the int a config stores."""
     _require(name, value, isinstance(value, numbers.Integral) and not isinstance(value, bool)
              and value >= low, f"an integer >= {low}")
+    if int(value) >> 1920:   # a limit is 0 or >= 640 digits, and 2**1920 < 10**640
+        digits = getattr(sys, "get_int_max_str_digits", int)()   # 0, or absent: no limit
+        _require(name, value, not digits or value < math.prod(repeat(10, digits)),   # 10**digits
+                 f"an integer of at most {digits} digits")
     return int(value)
 
 
@@ -37,7 +47,7 @@ def _require_real(name: str, value) -> float:
              "a real number")
     _require(name, value, -sys.float_info.max <= value <= sys.float_info.max   # compared exactly
              if isinstance(value, numbers.Rational) else math.isfinite(value), "finite")
-    return float(value)
+    return float(value) + 0.0   # -0.0 + 0.0 is 0.0: equal values print alike
 
 
 @dataclass(frozen=True)

@@ -228,8 +228,8 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, argv, message", [
-        ("", ["--seed", "x"], "--seed: cannot parse 'x' as an integer"),
-        ("", ["--rounds", "x"], "--rounds: cannot parse 'x' as an integer"),
+        ("", ["--seed", "x"], "--seed: cannot parse 'x' as a number"),
+        ("", ["--rounds", "x"], "--rounds: cannot parse 'x' as a number"),
         ("", ["--format", "xml"], "--format: unknown format(s) ['xml']"),
         ("", ["--algorithm", "nope"], "--algorithm: unknown algorithm 'nope'; known: leach,"),
         ("", ["--seed", "-2"], "--seed: seeds must be an integer >= 0, got -2"),
@@ -244,9 +244,14 @@ class TestMain:
          "line 2: key 'mp_amp': fs_amp must be greater than mp_amp (1.0), got 1e-11"),
         ("fs_amp = 1e100\nmp_amp = 1e-300\n", [],   # the crossover d^2 overflows
          "line 2: key 'fs_amp': fs_amp / mp_amp must be finite, got inf"),
+        # a number of the wrong kind gets the library's message
+        ("nodes = 1.5\n", [], "line 2: key 'nodes': node_count must be an integer >= 1, got 1.5"),
+        ("packet_bits = 4e3\n", [],
+         "line 2: key 'packet_bits': packet_bits must be an integer >= 1, got 4000.0"),
+        ("", ["--seed", "1.0"], "--seed: seeds must be an integer >= 0, got 1.0"),
     ], ids=["seed-x", "rounds-x", "format-xml", "algorithm-nope", "seed-negative",
             "rounds-negative", "seeds-negative", "formats-empty", "format-empty", "p", "bs_y",
-            "mp_amp", "fs_amp-over-mp_amp"])
+            "mp_amp", "fs_amp-over-mp_amp", "nodes-float", "packet_bits-float", "seed-float"])
     def test_bad_value_is_config_error_naming_its_origin(self, capsys, tmp_path, text, argv,
                                                          message):
         cfg = write_cfg(tmp_path, f"algorithms = leach\n{text}")
@@ -256,6 +261,21 @@ class TestMain:
         assert err.startswith(f"wsnsim: configuration error: {message}")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line, twin", [("side = 100", "side = 100.0"),
+                                            ("bs_x = 10", "bs_x = 10.0"),
+                                            ("p = 1", "p = 1.0"),
+                                            ("bs_x = -0", "bs_x = 0.0"),
+                                            ("bs_x = -0.0", "bs_x = 0")])
+    def test_equal_values_write_equal_bytes(self, tmp_path, line, twin):
+        outputs = []
+        for name, text in (("a", line), ("b", twin)):
+            cfg = write_cfg(tmp_path, f"nodes = 20\nmax_rounds = 5\n{text}\n", f"{name}.cfg")
+            self.run_ok(["--config", str(cfg), "--algorithm", "leach",
+                         "--output-dir", str(tmp_path / name)])
+            outputs.append({p.relative_to(tmp_path / name): p.read_bytes()
+                            for p in sorted((tmp_path / name).rglob("*")) if p.is_file()})
+        assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
 
     def test_flag_values_are_comma_lists_in_any_case(self, tmp_path):
         out = tmp_path / "out"

@@ -2,9 +2,11 @@
 
 Up to three scalar keys take extreme values, from the least subnormal to
 near the largest double and integers no float holds, on fields of at most 40
-nodes. Whatever `cli._build` accepts must run three rounds of a plain and of
-a learning algorithm with warnings as errors, or stop at the one budget check
-that depends on the deployment.
+nodes. Every key is offered every edge value, an int or a float, whatever
+kind its setting takes: the model's rules decide. Whatever `cli._build`
+accepts must run three rounds of a plain and of a learning algorithm with
+warnings as errors, or stop at the one budget check that depends on the
+deployment.
 """
 import warnings
 
@@ -25,14 +27,11 @@ KEYS = sorted(set(_SCALAR_KEYS) - {"nodes", "max_rounds"})
 
 @st.composite
 def edge_settings(draw):
-    """(key, raw value) settings: a node count, then up to three other keys."""
+    """(key, raw value) settings: a node count, then up to three other keys,
+    each offered every edge value, float and int alike."""
     settings_ = [("nodes", str(draw(st.integers(1, 40))))]
     for key in draw(st.lists(st.sampled_from(KEYS), max_size=3, unique=True)):
-        if _SCALAR_KEYS[key][2] is int:
-            value = draw(st.sampled_from(INT_EDGES))
-        else:
-            value = draw(st.one_of(st.sampled_from(FLOAT_EDGES + INT_EDGES),
-                                   st.floats(0.0, 1.7e308)))
+        value = draw(st.one_of(st.sampled_from(FLOAT_EDGES + INT_EDGES), st.floats(0.0, 1.7e308)))
         settings_.append((key, repr(value)))
     return settings_
 
