@@ -42,12 +42,17 @@ class RunConfig:
 
 def _number(raw: str) -> int | float:
     """raw as an int where int() reads it, else as a float: the model's rules
-    then decide whether its setting takes that kind of number."""
+    then decide whether its setting takes that kind of number. An integer that
+    int() refuses for its length is refused, not read as the float inf."""
     for kind in (int, float):
         try:
-            return kind(raw)
+            value = kind(raw)
         except ValueError:
-            pass
+            continue
+        if kind is float and raw.strip().lstrip("+-").replace("_", "").isdecimal():
+            raise ValueError("cannot parse an integer of more than"
+                             f" {sys.get_int_max_str_digits()} digits, the interpreter's limit")
+        return value
     raise ValueError(f"cannot parse {raw!r} as a number")
 
 

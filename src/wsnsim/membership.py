@@ -20,7 +20,6 @@ import numpy as np
 
 from .model import Network
 
-_D2_FLOOR = 1e-24        # a 1e-12 m distance floor, squared: only co-located pairs score 0
 _BLOCK = 32768           # member x candidate entries per block; temporaries stay in cache
 _HEADS_PER_CELL = 2      # grid density: a 3x3 block holds ~18 candidate heads (36 for E/d)
 _GRID_HEADS = 64         # fewer heads: scoring every head is as fast as the grid
@@ -83,17 +82,14 @@ def assign_members(network: Network, heads, beta: int | None) -> ClusterAssignme
 def _score(d2, weights, beta):
     """The join score of squared distances `d2` to heads of `weights`
     (E_res), lower wins: d^2 for the nearest join (weights None), else
-    sqrt(max(d^2, _D2_FLOOR)) / weight for beta 1 and max(d^2, _D2_FLOOR) /
-    weight for beta 2, and 0 for a co-located pair. Overwrites `d2`."""
+    sqrt(d^2) / weight for beta 1 and d^2 / weight for beta 2, so a
+    co-located pair scores 0, as a run's heads hold energy. Overwrites `d2`."""
     if weights is None:
         return d2
-    zero = d2 == 0
-    np.maximum(d2, _D2_FLOOR, out=d2)
     if beta == 1:
         np.sqrt(d2, out=d2)
-    with np.errstate(all="ignore"):   # a head of zero energy scores +inf
+    with np.errstate(all="ignore"):   # E = 0 scores +inf; a tiny E may overflow
         d2 /= weights
-    d2[zero] = 0.0
     return d2
 
 

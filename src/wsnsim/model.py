@@ -73,8 +73,6 @@ class RadioParams:
             object.__setattr__(self, name, value := _require_real(name, getattr(self, name)))
             _require(name, value, value > 0, "strictly positive")
             _require_real(f"packet_bits * {name}", bits * value)
-        _require("fs_amp", self.fs_amp, self.fs_amp > self.mp_amp,   # crossover > 1 m
-                 f"greater than mp_amp ({self.mp_amp!r})")
         _require_real("fs_amp / mp_amp", self.fs_amp / self.mp_amp)   # the crossover d^2
 
 

@@ -152,10 +152,9 @@ def full_table_assign(nodes: list[Node], heads: list[int], beta: int | None
                       ) -> tuple[dict[int, int], list[int], list[float]]:
     """(member -> head, unassigned, member d2) from the full table of
     squared distances d2 = dx*dx + dy*dy: the nearest join (beta None) takes
-    the lowest d2, the energy-distance join the lowest max(d2, 1e-24) / E for
-    beta 2 and its sqrt over E for beta 1, a co-located member (d2 = 0) joins
-    that head, and ties go to the lower head id. The reported d2 are the
-    chosen pairs' entries."""
+    the lowest d2, the energy-distance join the lowest d2 / E for beta 2 and
+    sqrt(d2) / E for beta 1, and ties go to the lower head id. The reported
+    d2 are the chosen pairs' entries."""
     head_ids = sorted(heads)
     head_set = set(head_ids)
     member_ids = [n.id for n in nodes if n.alive and n.id not in head_set]
@@ -174,11 +173,9 @@ def full_table_assign(nodes: list[Node], heads: list[int], beta: int | None
         choice = np.argmin(d2, axis=1)   # first occurrence -> lowest head id
     else:
         energies = np.array([by_id[h].residual_energy for h in head_ids])
-        floored = np.maximum(d2, 1e-24)
-        scaled = np.sqrt(floored) if beta == 1 else floored
-        with np.errstate(divide="ignore"):   # a head of zero energy scores +inf
+        scaled = np.sqrt(d2) if beta == 1 else d2
+        with np.errstate(all="ignore"):   # a head of zero energy scores +inf
             score = scaled / energies[None, :]
-        score[d2 == 0] = 0.0
         choice = np.argmin(score, axis=1)
     members = {m: head_ids[c] for m, c in zip(member_ids, choice)}
     return members, [], [float(d2[i, c]) for i, c in enumerate(choice)]

@@ -240,8 +240,8 @@ class TestMain:
         ("nodes = 10\nmax_rounds = 5\np = 1.5\n", [],
          "line 4: key 'p': base_probability must be in (0, 1], got 1.5"),
         ("bs_y = -1\n", [], "line 2: key 'bs_y': bs_position y must be in [0, side_m = 100.0]"),
-        ("mp_amp = 1\n", [],   # fs_amp keeps its default: the message names mp_amp's line
-         "line 2: key 'mp_amp': fs_amp must be greater than mp_amp (1.0), got 1e-11"),
+        ("mp_amp = 1e-320\n", [],   # fs_amp keeps its default: the message names mp_amp's line
+         "line 2: key 'mp_amp': fs_amp / mp_amp must be finite, got inf"),
         ("fs_amp = 1e100\nmp_amp = 1e-300\n", [],   # the crossover d^2 overflows
          "line 2: key 'fs_amp': fs_amp / mp_amp must be finite, got inf"),
         # a number of the wrong kind gets the library's message
@@ -416,6 +416,27 @@ class TestMain:
                                            "position draws, of 64 bits each, come from one "
                                            "getrandbits call, whose bit count is a C int, "
                                            "got 16777216\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="this interpreter reads integers of any length")
+    @pytest.mark.parametrize("key, extra, message", [
+        *((key, 700, "cannot parse an integer of more than {limit} digits, the interpreter's"
+                     " limit\n") for key in ("nodes", "seeds", "max_rounds", "packet_bits",
+                                             "side")),
+        ("nodes", 0, "node_count must be at most 16777215"),   # read, and the model decides
+    ], ids=["nodes", "seeds", "max_rounds", "packet_bits", "side", "nodes-at-the-limit"])
+    def test_integer_of_many_digits_names_its_line(self, capsys, tmp_path, key, extra,
+                                                   message):
+        # Past the limit int() refuses it: it is neither read as the float inf
+        # nor echoed in full.
+        limit = sys.get_int_max_str_digits()
+        cfg = write_cfg(tmp_path, f"{key} = {'1' * (limit + extra)}\nalgorithms = leach\n")
+        rc = main(["--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"wsnsim: configuration error: line 1: key '{key}': "
+                              + message.format(limit=limit))
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, argv, where", [

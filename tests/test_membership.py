@@ -56,6 +56,13 @@ class TestEnergyDistanceRatio:
             nodes = [node(0, 0.0, 0.0), node(1, 4.0, 0.0, 0.35), node(2, 0.0, 8.0, e2)]
             assert assign(nodes, [1, 2], 1).members == {0: joined}
 
+    def test_sub_picometre_distances_are_scored_as_they_are(self):
+        # Equal energies: the nearer head wins at any scale, here at 0.4e-12 m
+        # against 0.8e-12 m; the model has no distance floor.
+        nodes = [node(0, 0.0, 0.0), node(1, 0.8e-12, 0.0), node(2, 0.0, 0.4e-12)]
+        for beta in (None, 1, 2):
+            assert assign(nodes, [1, 2], beta).members == {0: 2}
+
 
 class TestAssignMembers:
     def test_no_heads_all_unassigned(self):
@@ -142,10 +149,9 @@ class TestAssignMembers:
                 for h in sorted(heads):
                     dx, dy = m.x - by_id[h].x, m.y - by_id[h].y
                     d2 = dx * dx + dy * dy
-                    floored = max(d2, 1e-24)
-                    scaled = math.sqrt(floored) if beta == 1 else floored
+                    scaled = math.sqrt(d2) if beta == 1 else d2
                     energy = by_id[h].residual_energy
-                    score = 0.0 if d2 == 0 else scaled / energy if energy else math.inf
+                    score = scaled / energy if energy else math.inf
                     if score < best_score:   # strict: ties keep the lower head id
                         best, best_score = h, score
                 assert out.members[m.id] == best
@@ -192,7 +198,7 @@ def oracle_instance(rng, kind, n_max=40):
     if kind == "strong-head":   # weak heads, and one far stronger that wins from afar
         energy = [10.0 ** rng.uniform(-3.0, -1.0) for _ in range(n)]
         energy[rng.randrange(n)] = 1.0
-    if kind == "colocated":     # on another node, or inside the distance floor
+    if kind == "colocated":     # on another node, or 1e-13 m or 2e-12 m off it
         for i in range(1, n):
             if rng.random() < 0.4:
                 x, y = pos[rng.randrange(i)]

@@ -119,9 +119,18 @@ class TestDistanceThreshold:
         for d2 in (math.nextafter(d2_0, math.inf), 87.75 * 87.75):
             assert tx_energy(radio, l, d2) == multipath(radio, l, d2)
 
-    def test_equal_amplifiers_rejected_by_invariant(self):
-        with pytest.raises(ValueError):
-            RadioParams(fs_amp=1e-12, mp_amp=1e-12)
+    @pytest.mark.parametrize("fs_amp, mp_amp", [(1e-12, 1e-12), (1e-12, 4e-12), (1e-13, 1e-12)])
+    def test_crossover_at_or_below_one_metre_accepted(self, fs_amp, mp_amp):
+        # The model has no length scale: fs_amp / mp_amp is a squared
+        # distance, and any finite one is a crossover, 1 m^2 and below too.
+        radio = RadioParams(fs_amp=fs_amp, mp_amp=mp_amp)
+        d2_0 = crossover(radio)
+        assert d2_0 <= 1.0
+        l = radio.packet_bits
+        for d2 in (0.0, math.nextafter(d2_0, 0.0), d2_0):
+            assert tx_energy(radio, l, d2) == free_space(radio, l, d2)
+        for d2 in (math.nextafter(d2_0, math.inf), 2.0 * d2_0, 1e4):
+            assert tx_energy(radio, l, d2) == multipath(radio, l, d2)
 
 
 class TestRadioParamsValidation:

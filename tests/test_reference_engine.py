@@ -5,8 +5,12 @@ write the same CSV and summary bytes and the same full-precision series, or
 fail with the same exception, and the package's run must keep the physical
 invariants, per round and per role. The examples are derandomized and no
 example database is kept, so the test is deterministic (conftest.py keeps
-Hypothesis's other caches out of the checkout).
+Hypothesis's other caches out of the checkout). A second, large-field
+stratum draws N from 600 to 1 500 over a few rounds, where the grid join and
+the bulk election draws meet the scalar oracle.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,11 +18,13 @@ from hypothesis import strategies as st
 
 import reference_engine
 from run_bits import run_bits
-from wsnsim import FieldConfig, RadioParams, algorithm_names, run_simulation, simulator
-from wsnsim.model import round_half_up
+from wsnsim import (FieldConfig, RadioParams, algorithm_names, membership, run_simulation,
+                    simulator)
+from wsnsim.model import _BULK_DRAWS, round_half_up
 from wsnsim.simulator import algorithm
 
 EXAMPLES = 500
+LARGE_EXAMPLES = 200
 
 
 def decades(draw, low, high):
@@ -51,6 +57,20 @@ def configs(draw):
             draw(st.integers(0, 2 ** 32 - 1)))
 
 
+@st.composite
+def large_configs(draw):
+    """The large-field stratum: `configs` with N from 600 to 1 500, p from
+    0.15 for 64 heads or more, at most 8 rounds, and an initial energy of 1 to
+    about 300 packets' electronics cost, so that many runs see a death."""
+    field, radio, algo, seed = draw(configs())
+    packet = radio.packet_bits * radio.elec_energy_per_bit
+    field = dataclasses.replace(field, node_count=draw(st.integers(600, 1500)),
+                                base_probability=draw(st.floats(0.15, 1.0)),
+                                initial_energy=packet * decades(draw, 0.0, 2.5),
+                                max_rounds=draw(st.integers(1, 8)))
+    return field, radio, algo, seed
+
+
 def run(engine, field, radio, algo, seed):
     try:
         return engine(field, radio, algo, seed)
@@ -65,11 +85,12 @@ class Watch:
     went past the crossover, to a head or to the BS."""
 
     def __init__(self, monkeypatch, field, radio):
-        self.rounds, self.multipath = [], False
+        self.rounds, self.multipath, self.most_draws = [], False, 0
         self._bs, self._crossover = field.bs_position, radio.fs_amp / radio.mp_amp
         elect, assign = simulator.elect_cluster_heads, simulator.assign_members
 
         def elected(net, *args, **kwargs):
+            self.most_draws = max(self.most_draws, int(np.count_nonzero(net.alive & net.eligible)))
             outcome = elect(net, *args, **kwargs)
             self.rounds.append((net.alive.copy(), outcome.heads.copy()))
             return outcome
@@ -121,12 +142,14 @@ def assert_invariants(s, field, spec, rounds):
         prev_residual, prev_consumed = r.residual_energy_total, consumed
 
 
-def test_array_engine_matches_scalar_reference():
-    reached = {"multipath": 0}
+def check_against_reference(strategy, examples):
+    """Each drawn run against the scalar reference; how many reached the
+    multipath charge, the grid join, the bulk election draws and a death."""
+    reached = {"multipath": 0, "grid": 0, "bulk draws": 0, "deaths": 0}
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=EXAMPLES,
+    @settings(derandomize=True, database=None, deadline=None, max_examples=examples,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(configs())
+    @given(strategy)
     def check(config):
         field, radio, algo, seed = config
         with pytest.MonkeyPatch.context() as monkeypatch:
@@ -137,7 +160,28 @@ def test_array_engine_matches_scalar_reference():
         if not isinstance(summary, Exception):
             assert_invariants(summary, field, algorithm(algo), watch.rounds)
             reached["multipath"] += watch.multipath
+            reached["grid"] += any(len(heads) >= membership._GRID_HEADS
+                                   for _, heads, *_ in watch.rounds)
+            reached["bulk draws"] += watch.most_draws >= _BULK_DRAWS
+            reached["deaths"] += summary.first_death_round is not None
 
     check()
+    print(reached)
+    return reached
+
+
+def test_array_engine_matches_scalar_reference():
+    reached = check_against_reference(configs(), EXAMPLES)
     # 355 of the 500 examples charge a packet past the crossover.
     assert reached["multipath"] >= EXAMPLES // 2, reached
+
+
+def test_large_fields_match_scalar_reference():
+    reached = check_against_reference(large_configs(), LARGE_EXAMPLES)
+    # Of the 200 examples, 48-66 reach the grid join, about 190 a death, 160
+    # the multipath charge and all the bulk draws (N >= 600 draws in bulk in
+    # round 0), in about 2.5 s. The examples move with the modules loaded
+    # beside this one, as hypothesis draws constants from them.
+    assert reached["grid"] >= LARGE_EXAMPLES // 8, reached
+    assert min(reached[path] for path in ("bulk draws", "deaths")) >= LARGE_EXAMPLES // 2, \
+        reached

@@ -14,10 +14,9 @@ so rounds nothing:
   every entry of `consumed_series`.
 
 No scalar oracle is needed, so the fields reach N = 2 000: the grid join,
-the bulk election draws and the multipath charge, which the differential
-oracle's N <= 300 rarely reaches. |k| and |j| stay small, so that no value
-goes subnormal or overflows. `_D2_FLOOR` is absolute, so a pair closer than
-1e-12 m could break the geometry symmetry; no drawn field holds one.
+the bulk election draws and the multipath charge. |k| and |j| go to 40, a
+field side from about 5e-12 m to 3e14 m, while no drawn value goes subnormal
+or overflows.
 """
 import math
 
@@ -40,14 +39,11 @@ def decades(draw, low, high):
 @st.composite
 def configs(draw):
     """(field keywords, radio keywords, algorithm, seed, k, j): energies low
-    enough that many runs see deaths, p up to 1 for 64 heads or more. As
-    `RadioParams` requires fs_amp > mp_amp (a crossover past 1 m) on every
-    side, and geometry x 2**k multiplies fs_amp / mp_amp by 4**k, down to
-    1/64, that ratio is drawn from 10**2 up: a crossover from 10 m to past the
-    largest field."""
+    enough that many runs see deaths, p up to 1 for 64 heads or more, and the
+    radio constants as the differential oracle draws them."""
     fs_amp = decades(draw, -13.0, -10.0)
     radio = dict(elec_energy_per_bit=decades(draw, -10.0, -7.0), fs_amp=fs_amp,
-                 mp_amp=fs_amp / decades(draw, 2.0, 5.5),
+                 mp_amp=fs_amp / decades(draw, 0.5, 5.5),
                  aggregation_energy_per_bit=decades(draw, -10.0, -8.0),
                  packet_bits=draw(st.integers(1, 10_000)))
     side = draw(st.floats(5.0, 300.0))
@@ -59,7 +55,7 @@ def configs(draw):
                  advanced_energy_factor=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 5.0)),
                  initial_energy=decades(draw, -6.0, -2.0),
                  max_rounds=draw(st.integers(1, 20)))
-    nonzero = st.integers(-3, 3).filter(bool)
+    nonzero = st.integers(-40, 40).filter(bool)
     return (field, radio, draw(st.sampled_from(algorithm_names())),
             draw(st.integers(0, 2 ** 32 - 1)), draw(nonzero), draw(nonzero))
 
@@ -117,6 +113,18 @@ class Reach:
         monkeypatch.setattr(membership, "_grid", counted_grid)
         monkeypatch.setattr(election, "uniforms", counted_uniforms)
         monkeypatch.setattr(simulator, "tx_energies", counted_tx)
+
+
+@pytest.mark.parametrize("algo", algorithm_names())
+def test_picometre_field_writes_the_rounds_of_a_100_m_field(algo):
+    # Side 100 * 2**-44 m, about 5.7e-12 m, where many members lie within
+    # 1e-12 m of a head: the rounds are those of the 100 m field, bit for bit.
+    field = dict(side_m=100.0, node_count=300, bs_position=(50.0, 50.0), max_rounds=30)
+    radio = dict(fs_amp=RadioParams.fs_amp, mp_amp=RadioParams.mp_amp)   # the defaults
+    base = run_simulation(FieldConfig(**field), RadioParams(**radio), algo, 7)
+    small = run(*scaled_geometry(field, radio, -44), algo, 7)
+    assert rows(small) == rows(base)
+    assert list(map(repr, small.consumed_series)) == list(map(repr, base.consumed_series))
 
 
 def test_power_of_two_scaling_writes_the_same_rounds():
