@@ -29,30 +29,21 @@ def leach_threshold(p: float, round_no: int) -> float:
     return min(1.0, p / (1.0 - p * (round_no % epoch_length(p))))
 
 
-def sep_probabilities(p: float, a: float, m_frac: float) -> tuple[float, float]:
-    """Two-tier election probabilities (normal, advanced).
-
-    The advanced tier is weighted by (1+a); the population-weighted mean of the
-    two probabilities equals p.
-    """
-    p_nrm = p / (1.0 + a * m_frac)
-    return p_nrm, p_nrm * (1.0 + a)
-
-
 @lru_cache(maxsize=1024)   # per p, not per round: a run's p moves only on a death
 def tier_probabilities(p: float, sep_params: tuple[float, float] | None,
                        p_run: float) -> tuple[float, float]:
     """Effective (normal, advanced) probabilities, clamped to [1e-12, 1].
 
     `p_run` is the run's probability this round: the base p, or the adapted
-    one. `sep_params` (a, m) weights the two tiers as SEP does around p and
-    rescales both by p_run / p, preserving the (1+a) ratio between them; at
-    p_run = p the scale is exactly 1.
+    one. `sep_params` (a, m) splits p as SEP does, into p / (1 + a*m) and
+    (1 + a) times that, whose population-weighted mean is p, and scales both
+    by p_run / p, which is exactly 1 at p_run = p.
     """
     if sep_params is not None:
-        p_nrm, p_adv = sep_probabilities(p, *sep_params)
+        a, m = sep_params
+        p_nrm = p / (1.0 + a * m)
         scale = p_run / p
-        p_nrm, p_adv = p_nrm * scale, p_adv * scale
+        p_nrm, p_adv = p_nrm * scale, p_nrm * (1.0 + a) * scale
     else:
         p_nrm = p_adv = p_run
     return min(1.0, max(p_nrm, 1e-12)), min(1.0, max(p_adv, 1e-12))

@@ -72,7 +72,7 @@ class RadioParams:
         for name in ("elec_energy_per_bit", "fs_amp", "mp_amp", "aggregation_energy_per_bit"):
             object.__setattr__(self, name, value := _require_real(name, getattr(self, name)))
             _require(name, value, value > 0, "strictly positive")
-            _require_real(f"packet_bits * {name}", bits * value)
+            _require_real(f"{name} * packet_bits", value * bits)
         _require_real("fs_amp / mp_amp", self.fs_amp / self.mp_amp)   # the crossover d^2
 
 
@@ -145,7 +145,7 @@ class Network:
     uplink: np.ndarray | None = field(init=False, default=None)   # one packet over it, J
     head_costs: np.ndarray | None = field(init=False, default=None)   # by member count, J
     cumulative_consumed: float = field(init=False, default=0.0)
-    learned: tuple[int, float] = field(init=False, default=(-1, 0.0))   # (alive, its kappa)
+    learned_at: int = field(init=False, default=-1)   # the alive count kappa was learned at
     dead_advanced: tuple[int, int] = field(init=False, default=(-1, 0))  # (alive, its count)
 
     def __post_init__(self) -> None:

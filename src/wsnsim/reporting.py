@@ -58,29 +58,35 @@ class RoundSeries(Sequence):
         return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
 
+def stability_metrics(series: Sequence[RoundRecord]
+                      ) -> tuple[int | None, int | None, int | None]:
+    """(first, half, last) death rounds: the first round with 1, ceil(N/2)
+    and N dead or more, N the first row's alive + dead_total, or None. As in
+    every run, `dead_total` must never fall: each is one binary search."""
+    n = series[0].alive + series[0].dead_total if series else 0
+    at = [bisect_left(series, k, key=attrgetter("dead_total")) for k in (1, math.ceil(n / 2), n)]
+    return tuple(series[i].round if i < len(series) else None for i in at)
+
+
 @dataclass
 class SimulationSummary:
     algorithm: str
     seed: int
-    first_death_round: int | None
-    half_death_round: int | None
-    last_death_round: int | None
-    rounds_executed: int
     series: Sequence[RoundRecord]
     metadata: dict[str, str]
     # In-memory diagnostics, not serialized: total initial energy and the
     # cumulative consumed energy after each round (conservation checks).
     initial_energy_total: float = 0.0
     consumed_series: Sequence[float] = field(default_factory=list)
+    rounds_executed: int = field(init=False)   # this and the death rounds: read from series
+    first_death_round: int | None = field(init=False)
+    half_death_round: int | None = field(init=False)
+    last_death_round: int | None = field(init=False)
 
-
-def stability_metrics(series: Sequence[RoundRecord],
-                      n: int) -> tuple[int | None, int | None, int | None]:
-    """(first, half, last) death rounds: the earliest round with at least 1,
-    ceil(n/2) and n dead, or None where the event never happens. `dead_total`
-    never falls along `series`, as in every run, so each is one binary search."""
-    at = [bisect_left(series, k, key=attrgetter("dead_total")) for k in (1, math.ceil(n / 2), n)]
-    return tuple(series[i].round if i < len(series) else None for i in at)
+    def __post_init__(self) -> None:
+        self.rounds_executed = len(self.series)
+        deaths = stability_metrics(self.series)
+        self.first_death_round, self.half_death_round, self.last_death_round = deaths
 
 
 def round_csv_text(summary: SimulationSummary) -> str:

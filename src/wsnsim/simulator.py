@@ -92,15 +92,16 @@ def learning_update(net: Network, radio: RadioParams, field: FieldConfig) -> flo
     place of the total node count and the mean alive-node-to-BS distance as
     the representative uplink distance. Before any death these are exactly
     the a-priori inputs, so the budget is a fixed point until the first death.
-    Both depend on the alive set alone: the budget is derived again only when
-    the alive count differs from the one in `net.learned`.
+    Both depend on the alive set alone: the budget is derived again only
+    when the alive count differs from `net.learned_at`. It is written to
+    `net.kappa_max_raw` and returned.
     """
     alive = net.alive
     count = int(np.count_nonzero(alive))
-    if count != net.learned[0]:
-        net.learned = (count, _checked_kappa(radio, field.side_m, net.bs_dist, alive,
-                                             count, net.kappa_max_raw))
-    return net.learned[1]
+    if count != net.learned_at:
+        net.learned_at, net.kappa_max_raw = count, _checked_kappa(
+            radio, field.side_m, net.bs_dist, alive, count, net.kappa_max_raw)
+    return net.kappa_max_raw
 
 
 def run_round(net: Network, algo: AlgorithmSpec, radio: RadioParams,
@@ -155,7 +156,7 @@ def run_round(net: Network, algo: AlgorithmSpec, radio: RadioParams,
     if alive > 0:
         # The budget evolves first so the adapted probability sees it.
         if algo.learning_kappa:
-            net.kappa_max_raw = learning_update(net, radio, field)
+            learning_update(net, radio, field)
         if algo.adaptive_p:
             net.p_effective = adaptive_probability(net.kappa_max_raw, alive)
     net.round += 1
@@ -189,17 +190,13 @@ def run_simulation(field: FieldConfig, radio: RadioParams,
     series = reporting.RoundSeries()
     consumed_series = array("d")
     alive = len(net)
-    while alive and len(consumed_series) < field.max_rounds:
-        record = run_round(net, algo, radio, field, rng)
-        series.append(record)
+    while alive and net.round < field.max_rounds:
+        series.append(record := run_round(net, algo, radio, field, rng))
         consumed_series.append(net.cumulative_consumed)
         alive = record.alive
 
-    first, half, last = reporting.stability_metrics(series, field.node_count)
     return reporting.SimulationSummary(
-        algorithm=algo.name, seed=seed,
-        first_death_round=first, half_death_round=half, last_death_round=last,
-        rounds_executed=len(series), series=series,
+        algorithm=algo.name, seed=seed, series=series,
         metadata={"rng_algorithm": RNG_ALGORITHM,
                   "config_hash": _config_hash(field, radio)},
         initial_energy_total=ordered_sum(net.e0),

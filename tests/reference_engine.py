@@ -265,11 +265,8 @@ def run_simulation(field: FieldConfig, radio: RadioParams,
             break
         series.append(run_round(state, algo, radio, field, rng))
         consumed_series.append(state.cumulative_consumed)
-    first, half, last = reporting.stability_metrics(series, field.node_count)
     return reporting.SimulationSummary(
-        algorithm=algo.name, seed=seed,
-        first_death_round=first, half_death_round=half, last_death_round=last,
-        rounds_executed=len(series), series=series,
+        algorithm=algo.name, seed=seed, series=series,
         metadata={"rng_algorithm": RNG_ALGORITHM,
                   "config_hash": _config_hash(field, radio)},
         initial_energy_total=ordered_sum(n.initial_energy for n in nodes),

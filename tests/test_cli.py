@@ -385,14 +385,14 @@ class TestMain:
         # it scales each per-bit constant, so it passes the real rule too
         ("packet_bits", 10 ** 400, "packet_bits must be finite"),
         # a packet's electronics cost, which no distance enters, overflows
-        ("elec_energy_per_bit", 1e308, "packet_bits * elec_energy_per_bit must be finite"),
+        ("elec_energy_per_bit", 1e308, "elec_energy_per_bit * packet_bits must be finite"),
         # a float holds it, but one getrandbits call cannot draw its 2 * N positions
         ("nodes", 10 ** 20, "node_count must be at most"),
         # a packet's aggregation cost, which every head pays per member
         ("aggregation_energy_per_bit", 1e308,
-         "packet_bits * aggregation_energy_per_bit must be finite"),
+         "aggregation_energy_per_bit * packet_bits must be finite"),
         # a packet's free-space cost, which the crossover check would blame on side
-        ("fs_amp", 1.7e308, "packet_bits * fs_amp must be finite"),
+        ("fs_amp", 1.7e308, "fs_amp * packet_bits must be finite"),
     ], ids=["nodes", "packet_bits", "elec_energy_per_bit", "nodes-index",
             "aggregation_energy_per_bit", "fs_amp"])
     def test_value_beyond_float_range_names_its_line(self, capsys, tmp_path, key, value,
@@ -404,6 +404,18 @@ class TestMain:
         assert err.startswith(f"wsnsim: configuration error: line 1: key '{key}': {message}")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("elec_energy_per_bit", 1e308), ("fs_amp", 1.7e308), ("mp_amp", 1.7e308),
+        ("aggregation_energy_per_bit", 1e308)])
+    def test_constant_times_packet_bits_names_the_constants_line(self, capsys, tmp_path,
+                                                                 key, value):
+        # packet_bits is set too, on an earlier line; the constant's line is named.
+        cfg = write_cfg(tmp_path, f"packet_bits = 4000\n{key} = {value}\nalgorithms = leach\n")
+        rc = main(["--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"wsnsim: configuration error: line 2: key '{key}': "
+                                           f"{key} * packet_bits must be finite, got inf\n")
 
     def test_node_count_beyond_one_draw_call_names_its_line(self, capsys, tmp_path):
         # 2 * 2**24 draws of 64 bits each exceed the C int bit count of one

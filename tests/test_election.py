@@ -6,7 +6,7 @@ import pytest
 import reference_engine
 from reference_engine import ADVANCED, NORMAL, Node, network_of
 from wsnsim.election import (elect_cluster_heads, epoch_length, leach_threshold,
-                             refresh_epoch, sep_probabilities, tier_probabilities)
+                             refresh_epoch, tier_probabilities)
 
 P = (0.1, 0.1)   # the default (normal, advanced) pair: p = 0.1 on one tier
 
@@ -76,22 +76,25 @@ class TestEnergyThreshold:
 
 
 class TestSepProbabilities:
+    """SEP's tier split, through `tier_probabilities` at p_run = p."""
+
     def test_reference_values(self):
-        p_nrm, p_adv = sep_probabilities(0.1, 1.0, 0.1)
+        p_nrm, p_adv = tier_probabilities(0.1, (1.0, 0.1), 0.1)
         assert p_nrm == pytest.approx(0.1 / 1.1)
         assert p_adv == pytest.approx(0.2 / 1.1)
 
     def test_homogeneous_degenerates_to_single_tier(self):
-        p_nrm, p_adv = sep_probabilities(0.1, 0.0, 0.1)
+        p_nrm, p_adv = tier_probabilities(0.1, (0.0, 0.1), 0.1)
         assert p_nrm == p_adv == pytest.approx(0.1)
 
     def test_weighted_mean_identity(self):
+        # p is drawn where p_adv = p (1+a) / (1+a*m) <= 1, below the clamp.
         rng = random.Random(13)
         for _ in range(200):
-            p = rng.uniform(0.01, 0.5)
             a = rng.uniform(0.0, 5.0)
             m = rng.uniform(0.05, 0.95)
-            p_nrm, p_adv = sep_probabilities(p, a, m)
+            p = rng.uniform(0.01, min(0.5, (1 + a * m) / (1 + a)))
+            p_nrm, p_adv = tier_probabilities(p, (a, m), p)
             assert p_adv == pytest.approx((1 + a) * p_nrm)
             assert m * p_adv + (1 - m) * p_nrm == pytest.approx(p)
 
@@ -236,8 +239,8 @@ class TestElectClusterHeads:
         rng = random.Random(31)
         for _ in range(1000):
             p, a, m = rng.uniform(1e-3, 1.0), rng.uniform(0.0, 5.0), rng.uniform(0.0, 1.0)
-            probs = tier_probabilities(p, (a, m), p)
-            assert probs == tuple(min(1.0, q) for q in sep_probabilities(p, a, m))
+            p_nrm = p / (1.0 + a * m)   # SEP's split, with p_nrm >= 1e-3 / 6
+            assert tier_probabilities(p, (a, m), p) == (p_nrm, min(1.0, p_nrm * (1.0 + a)))
 
 
 class TestRefreshEpoch:

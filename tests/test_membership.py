@@ -96,12 +96,19 @@ class TestAssignMembers:
             out = assign(heads + [member], [0, 1], beta)
             assert out.members == {2: 0}
 
-    def test_colocated_member_joins_that_head(self):
-        heads = [node(0, 10.0, 10.0, energy=0.0), node(1, 10.5, 10.0, energy=0.9)]
+    @pytest.mark.parametrize("grid", [False, True], ids=["all-heads", "grid"])
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_colocated_member_joins_that_head(self, grid, beta, monkeypatch):
+        # The co-located head holds less energy, and still scores 0 against 0.25^(beta/2) / 0.9.
+        if grid:
+            monkeypatch.setattr(membership, "_GRID_HEADS", 0)
+        heads = [node(0, 10.0, 10.0, energy=0.4), node(1, 10.5, 10.0, energy=0.9)]
         member = node(2, 10.0, 10.0)
         nodes = heads + [member]
-        out = assign(nodes, [0, 1], 2)
+        out = assign(nodes, [0, 1], beta)
         assert out.members == {2: 0}
+        score = membership._score(np.array([[0.0, 0.25]]), np.array([0.4, 0.9]), beta)
+        assert not np.isnan(score).any() and score[0, 0] == 0.0 < score[0, 1]
 
     def test_dead_nodes_not_assigned(self):
         nodes = [node(0, 0, 0), node(1, 50, 0), node(2, 10, 0)]

@@ -20,14 +20,10 @@ def rec(round_no, dead, alive=None, n=100):
                        p_used=0.1, kappa_used=14.0)
 
 
-def summary(series, **kw):
-    defaults = dict(algorithm="leach", seed=1, first_death_round=None,
-                    half_death_round=None, last_death_round=None,
-                    rounds_executed=len(series), series=series,
-                    metadata={"rng_algorithm": "python-random-mt19937",
-                              "config_hash": "abc"})
-    defaults.update(kw)
-    return SimulationSummary(**defaults)
+def summary(series):
+    return SimulationSummary(algorithm="leach", seed=1, series=series,
+                             metadata={"rng_algorithm": "python-random-mt19937",
+                                       "config_hash": "abc"})
 
 
 def series_of(records):
@@ -96,7 +92,7 @@ class TestRoundSeries:
     def test_readers_take_a_series_or_a_list(self):
         series = series_of(self.RECORDS)
         assert round_csv_text(summary(series)) == round_csv_text(summary(self.RECORDS))
-        assert stability_metrics(series, 100) == stability_metrics(self.RECORDS, 100) \
+        assert stability_metrics(series) == stability_metrics(self.RECORDS) \
             == (1, 2, 2)
 
 
@@ -117,29 +113,29 @@ def monotone_runs(draw):
 class TestStabilityMetrics:
     def test_no_deaths(self):
         series = [rec(r, 0) for r in range(10)]
-        assert stability_metrics(series, 100) == (None, None, None)
+        assert stability_metrics(series) == stability_metrics([]) == (None, None, None)
 
     def test_jump_sets_first(self):
         series = [rec(r, 0) for r in range(7)] + [rec(7, 3)]
-        assert stability_metrics(series, 100) == (7, None, None)
+        assert stability_metrics(series) == (7, None, None)
 
     def test_half_threshold(self):
         series = [rec(r, 0) for r in range(1399)] + [rec(1399, 49), rec(1400, 50)]
-        first, half, last = stability_metrics(series, 100)
+        first, half, last = stability_metrics(series)
         assert (first, half, last) == (1399, 1400, None)
 
     def test_half_uses_ceiling_for_odd_population(self):
         series = [rec(0, 4, n=9), rec(1, 5, n=9)]
-        assert stability_metrics(series, 9)[1] == 1
+        assert stability_metrics(series)[1] == 1
 
     def test_full_extinction(self):
         series = [rec(0, 0), rec(1, 40), rec(2, 100, alive=0)]
-        assert stability_metrics(series, 100) == (1, 2, 2)
+        assert stability_metrics(series) == (1, 2, 2)
 
     def test_invariant_to_post_extinction_rounds(self):
         series = [rec(0, 0), rec(1, 100, alive=0)]
         extended = series + [rec(2, 100, alive=0), rec(3, 100, alive=0)]
-        assert stability_metrics(series, 100) == stability_metrics(extended, 100)
+        assert stability_metrics(series) == stability_metrics(extended)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(monotone_runs())
@@ -151,8 +147,12 @@ class TestStabilityMetrics:
             return next((r.round for r in records if r.dead_total >= k), None)
 
         expected = (earliest(1), earliest(math.ceil(n / 2)), earliest(n))
-        assert stability_metrics(records, n) == stability_metrics(series_of(records), n) \
+        assert stability_metrics(records) == stability_metrics(series_of(records)) \
             == expected
+        # A summary reads its round count and death rounds from its own rows.
+        s = SimulationSummary("leach", 0, series_of(records), {})
+        assert (s.first_death_round, s.half_death_round, s.last_death_round) == expected
+        assert s.rounds_executed == len(records)
 
 
 class TestRoundCsv:
@@ -229,8 +229,9 @@ class TestSummaryJson:
         assert set(entry["metadata"]) == {"rng_algorithm", "config_hash"}
 
     def test_deterministic_bytes(self):
-        s = summary([rec(0, 0)], first_death_round=3)
+        s = summary([rec(0, 0), rec(1, 3)])
         assert summary_json_text([s]) == summary_json_text([s])
+        assert json.loads(summary_json_text([s]))[0]["first_death_round"] == 1
 
     def test_ordering_first_half_last(self):
         field = FieldConfig(node_count=20, max_rounds=3000, initial_energy=0.02)

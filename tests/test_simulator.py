@@ -382,6 +382,21 @@ class TestLearningUpdate:
         expected = max_clusters(radio, field.side_m, alive, total / alive)
         assert learning_update(state, radio, field) == expected != before
 
+    def test_budget_is_the_runs_and_derived_once_per_alive_count(self, monkeypatch):
+        field = FieldConfig(node_count=60, max_rounds=50)
+        radio = RadioParams()
+        state = make_state(deploy_field(field, random.Random(4)), field)
+        derived = []
+        closed_form = simulator.max_clusters
+        monkeypatch.setattr(simulator, "max_clusters",
+                            lambda *args: derived.append(args[2]) or closed_form(*args))
+        for dead in (slice(None, None, 3), 1, 1, 2):   # 20 deaths, 1, none, then 1 more
+            state.alive[dead] = False
+            state.e_res[dead] = 0.0
+            kappa = learning_update(state, radio, field)
+            assert state.kappa_max_raw == kappa != 10.0
+        assert derived == [40, 39, 38]
+
     def test_sqrt_scaling_when_half_die_on_a_ring(self):
         field = FieldConfig(node_count=40, max_rounds=50)
         radio = RadioParams()
