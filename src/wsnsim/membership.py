@@ -118,7 +118,8 @@ def _grid(network, head_ids, member_ids, weights, beta):
     `_bin_nodes`, once per run and cell count.
     """
     n_heads = head_ids.size
-    density = _HEADS_PER_CELL * (2 if beta == 1 else 1)   # E/d: the loosest guard
+    # E/d's guard is the loosest: twice the density re-scores fewer rows, at more time per round
+    density = _HEADS_PER_CELL * (2 if beta == 1 else 1)
     cells = max(1, round(n_heads / density))
     cells &= -1 << max(0, cells.bit_length() - 3)   # keep 3 leading bits: a run builds few grids
     if cells not in network.grids:   # built in the first round that needs it

@@ -68,7 +68,7 @@ def stability_metrics(series: Sequence[RoundRecord]
     return tuple(series[i].round if i < len(series) else None for i in at)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationSummary:
     algorithm: str
     seed: int
@@ -78,15 +78,12 @@ class SimulationSummary:
     # cumulative consumed energy after each round (conservation checks).
     initial_energy_total: float = 0.0
     consumed_series: Sequence[float] = field(default_factory=list)
-    rounds_executed: int = field(init=False)   # this and the death rounds: read from series
-    first_death_round: int | None = field(init=False)
-    half_death_round: int | None = field(init=False)
-    last_death_round: int | None = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.rounds_executed = len(self.series)
-        deaths = stability_metrics(self.series)
-        self.first_death_round, self.half_death_round, self.last_death_round = deaths
+    # The round count and the death rounds, read from the rows on each access.
+    rounds_executed = property(lambda self: len(self.series))
+    first_death_round = property(lambda self: stability_metrics(self.series)[0])
+    half_death_round = property(lambda self: stability_metrics(self.series)[1])
+    last_death_round = property(lambda self: stability_metrics(self.series)[2])
 
 
 def round_csv_text(summary: SimulationSummary) -> str:

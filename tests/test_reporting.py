@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -153,6 +154,31 @@ class TestStabilityMetrics:
         s = SimulationSummary("leach", 0, series_of(records), {})
         assert (s.first_death_round, s.half_death_round, s.last_death_round) == expected
         assert s.rounds_executed == len(records)
+
+
+class TestSimulationSummary:
+    LIFETIME = ("first_death_round", "half_death_round", "last_death_round", "rounds_executed")
+
+    @pytest.mark.parametrize("name", ("series",) + LIFETIME)
+    def test_is_frozen(self, name):
+        s = summary(series_of([rec(0, 0), rec(1, 1)]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, [] if name == "series" else 0)
+        assert s.series == [rec(0, 0), rec(1, 1)] and s.first_death_round == 1
+
+    def test_appended_row_shows_in_its_lifetime(self):
+        series = series_of([rec(0, 0), rec(1, 0)])
+        s = summary(series)
+        assert (s.first_death_round, s.rounds_executed) == (None, 2)
+        series.append(rec(2, 1))
+        assert (s.first_death_round, s.half_death_round, s.rounds_executed) == (2, None, 3)
+
+    def test_replaced_rows_give_their_own_lifetime(self):
+        s = summary(series_of([rec(r, 0) for r in range(30)]))
+        t = dataclasses.replace(s, series=series_of([rec(0, 0), rec(1, 50), rec(2, 100, alive=0)]))
+        assert [getattr(t, name) for name in self.LIFETIME] == [1, 1, 2, 3]
+        assert [getattr(s, name) for name in self.LIFETIME] == [None, None, None, 30]
+        assert (t.algorithm, t.seed, t.metadata) == (s.algorithm, s.seed, s.metadata)
 
 
 class TestRoundCsv:
